@@ -30,16 +30,16 @@ bench-solver:
 	$(GO) test -run=xxx -bench=. -benchmem -benchtime=1x \
 		./internal/lp ./internal/mip ./internal/sched ./internal/cluster
 
-# LP scale harness: dense vs sparse simplex on generated sched/cover-
-# shaped instances up to 20k+ variables, appending points to
-# BENCH_lp.json. Each instance is also a differential check (both engines
-# must agree to 1e-6). The full run's largest dense solve takes minutes
-# by design -- that is the scale ceiling the sparse core removes.
+# LP scale harness: the simplex solver on generated sched/cover-shaped
+# instances up to 20k+ variables, appending points to BENCH_lp.json.
 bench-scale:
 	$(GO) run ./cmd/benchlp -out BENCH_lp.json
 
-# Quick differential pass over the small instances only, for CI.
+# CI scale smoke: the production engine and the dense test oracle must
+# agree to 1e-6 on the small instances of the benchlp set, then one quick
+# benchlp pass must complete.
 bench-scale-smoke:
+	$(GO) test -count=1 -run TestScaleSetAgreement ./internal/lp
 	$(GO) run ./cmd/benchlp -quick
 
 # Frame-loop benchmark: measures a full simulator run (ns/op, B/op,

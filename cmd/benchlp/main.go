@@ -1,17 +1,14 @@
-// Command benchlp benchmarks the two simplex engines against each other
-// on generated solver-shaped instances (internal/lp's GenSchedLP and
-// GenCoverLP) and writes machine-readable measurement points, so the
-// sparse core's scale advantage is recorded alongside the code
-// (BENCH_lp.json) and CI can smoke-run the differential on every change.
-// Each instance is solved by both cores and the objectives are asserted
-// equal to 1e-6 before a point is emitted -- the benchmark doubles as an
-// at-scale differential test, where the unit fuzz covers only small
-// instances.
+// Command benchlp benchmarks the simplex solver on generated
+// solver-shaped instances (internal/lp's ScaleInstances, built from
+// GenSchedLP and GenCoverLP) and writes machine-readable measurement
+// points, so the solver's scale behaviour is recorded alongside the code
+// (BENCH_lp.json).
 //
-// The default run includes a 20k+-variable sched-shaped instance whose
-// dense solve takes minutes (the dense tableau is ~600MB and every pivot
-// sweeps all of it); -quick restricts to sizes where the dense core
-// finishes in seconds, which is what `make bench-scale-smoke` and CI use.
+// Points up to schema 1 also timed the dense tableau engine that has
+// since been retired to a test oracle; its agreement with the production
+// engine on the -quick set is asserted by internal/lp's
+// TestScaleSetAgreement (make bench-scale-smoke). -quick restricts the run
+// to those small instances.
 package main
 
 import (
@@ -28,11 +25,13 @@ import (
 )
 
 // pointSchema versions the point layout for downstream consumers of the
-// BENCH_lp.json series. Bump it whenever a field changes meaning.
-const pointSchema = 1
+// BENCH_lp.json series. Bump it whenever a field changes meaning. Schema 2
+// dropped the dense-engine fields (dense_ns, speedup, dense_iters) and
+// added refactor_alarms.
+const pointSchema = 2
 
-// point is one instance measurement: both engines' times on the same
-// problem plus the instance's shape.
+// point is one instance measurement: the solve time and solver counters
+// plus the instance's shape.
 type point struct {
 	Schema    int    `json:"schema"`
 	Name      string `json:"name"`
@@ -44,15 +43,13 @@ type point struct {
 	Rows int `json:"rows"`
 	NNZ  int `json:"nnz"`
 
-	DenseNs     int64   `json:"dense_ns"`
 	SparseNs    int64   `json:"sparse_ns"`
-	Speedup     float64 `json:"speedup"`
 	Objective   float64 `json:"objective"`
-	DenseIters  int     `json:"dense_iters"`
 	SparseIters int     `json:"sparse_iters"`
 
 	Factorizations   int `json:"factorizations"`
 	Refactorizations int `json:"refactorizations"`
+	RefactorAlarms   int `json:"refactor_alarms"`
 }
 
 func gitCommit() string {
@@ -63,28 +60,12 @@ func gitCommit() string {
 	return strings.TrimSpace(string(out))
 }
 
-type instance struct {
-	name string
-	gen  func() *lp.Problem
-}
-
 func main() {
 	var (
 		out   = flag.String("out", "", "append JSON points to this file ('' means stdout only)")
-		quick = flag.Bool("quick", false, "skip the minutes-long large dense solves (CI smoke)")
+		quick = flag.Bool("quick", false, "small instances only (CI smoke)")
 	)
 	flag.Parse()
-
-	instances := []instance{
-		{"lp/sched_2k", func() *lp.Problem { return lp.GenSchedLP(100, 4, 6, 4, 1) }},
-		{"lp/cover_500", func() *lp.Problem { return lp.GenCoverLP(350, 500, 4, 1) }},
-	}
-	if !*quick {
-		instances = append(instances,
-			instance{"lp/sched_6k", func() *lp.Problem { return lp.GenSchedLP(200, 4, 8, 5, 1) }},
-			instance{"lp/sched_21k", func() *lp.Problem { return lp.GenSchedLP(400, 3, 24, 6, 1) }},
-		)
-	}
 
 	var f *os.File
 	if *out != "" {
@@ -99,55 +80,37 @@ func main() {
 
 	date := time.Now().UTC().Format(time.RFC3339)
 	commit := gitCommit()
-	for _, inst := range instances {
-		p := inst.gen()
+	for _, inst := range lp.ScaleInstances(*quick) {
+		p := inst.Gen()
 		if err := p.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchlp: %s: %v\n", inst.name, err)
+			fmt.Fprintf(os.Stderr, "benchlp: %s: %v\n", inst.Name, err)
 			os.Exit(1)
 		}
 
-		sparseWS := &lp.Workspace{Core: lp.CoreSparse}
+		var ws lp.Workspace
 		start := time.Now()
-		sparse := sparseWS.Solve(p)
-		sparseNs := time.Since(start).Nanoseconds()
-		if sparse.Status != lp.StatusOptimal {
-			fmt.Fprintf(os.Stderr, "benchlp: %s: sparse status %v\n", inst.name, sparse.Status)
-			os.Exit(1)
-		}
-
-		denseWS := &lp.Workspace{Core: lp.CoreDense}
-		start = time.Now()
-		dense := denseWS.Solve(p)
-		denseNs := time.Since(start).Nanoseconds()
-		if dense.Status != lp.StatusOptimal {
-			fmt.Fprintf(os.Stderr, "benchlp: %s: dense status %v\n", inst.name, dense.Status)
-			os.Exit(1)
-		}
-
-		// Differential gate: the two engines must land on one optimum.
-		if d := dense.Objective - sparse.Objective; d > 1e-6*(1+abs(dense.Objective)) || -d > 1e-6*(1+abs(dense.Objective)) {
-			fmt.Fprintf(os.Stderr, "benchlp: %s: objective mismatch dense=%v sparse=%v\n",
-				inst.name, dense.Objective, sparse.Objective)
+		sol := ws.Solve(p)
+		ns := time.Since(start).Nanoseconds()
+		if sol.Status != lp.StatusOptimal {
+			fmt.Fprintf(os.Stderr, "benchlp: %s: status %v\n", inst.Name, sol.Status)
 			os.Exit(1)
 		}
 
 		pt := point{
 			Schema:           pointSchema,
-			Name:             inst.name,
+			Name:             inst.Name,
 			Date:             date,
 			Commit:           commit,
 			GoVersion:        runtime.Version(),
 			Vars:             len(p.C),
 			Rows:             len(p.B),
 			NNZ:              p.NNZ(),
-			DenseNs:          denseNs,
-			SparseNs:         sparseNs,
-			Speedup:          float64(denseNs) / float64(sparseNs),
-			Objective:        sparse.Objective,
-			DenseIters:       dense.Iters,
-			SparseIters:      sparse.Iters,
-			Factorizations:   sparseWS.Factorizations,
-			Refactorizations: sparseWS.Refactorizations,
+			SparseNs:         ns,
+			Objective:        sol.Objective,
+			SparseIters:      sol.Iters,
+			Factorizations:   ws.Factorizations,
+			Refactorizations: ws.Refactorizations,
+			RefactorAlarms:   ws.RefactorAlarms,
 		}
 		enc, err := json.Marshal(pt)
 		if err != nil {
@@ -162,11 +125,4 @@ func main() {
 			}
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

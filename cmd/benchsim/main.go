@@ -93,10 +93,10 @@ type point struct {
 	BasisReuses     int64   `json:"warm_basis_reuses,omitempty"`
 
 	// LP engine fields (schema 4), from the same instrumented run.
-	// LPCore reports which simplex engine the workload's LP solves used:
-	// "dense", "sparse", or "mixed" (the CoreAuto crossover picks per
-	// instance). NNZ is the largest structural nonzero count among solved
-	// instances; Refactorizations counts sparse-core basis rebuilds
+	// LPCore names the simplex engine: always "sparse" since the dense
+	// tableau was retired to a test oracle (earlier points may read
+	// "dense" or "mixed"). NNZ is the largest structural nonzero count
+	// among solved instances; Refactorizations counts basis rebuilds
 	// forced mid-solve.
 	LPCore           string `json:"lp_core,omitempty"`
 	NNZ              int64  `json:"nnz,omitempty"`
@@ -489,23 +489,15 @@ func main() {
 	if p.NsPerOp > 0 {
 		p.FlightOverheadPct = 100 * (float64(p.FlightNsPerOp) - float64(p.NsPerOp)) / float64(p.NsPerOp)
 	}
-	var denseSolves, sparseSolves int64
+	p.LPCore = "sparse"
+	var lpSolves int64
 	for _, solver := range []string{"sched", "cluster"} {
 		lbl := obs.Label{Key: "solver", Value: solver}
-		denseSolves += reg.CounterValue("eagleeye_lp_core_solves_total", lbl, obs.Label{Key: "core", Value: "dense"})
-		sparseSolves += reg.CounterValue("eagleeye_lp_core_solves_total", lbl, obs.Label{Key: "core", Value: "sparse"})
+		lpSolves += reg.CounterValue("eagleeye_lp_solves_total", lbl)
 		p.Refactorizations += reg.CounterValue("eagleeye_lp_refactorizations_total", lbl)
 		if nnz := int64(reg.GaugeValue("eagleeye_lp_instance_nnz_max", lbl)); nnz > p.NNZ {
 			p.NNZ = nnz
 		}
-	}
-	switch {
-	case denseSolves > 0 && sparseSolves > 0:
-		p.LPCore = "mixed"
-	case sparseSolves > 0:
-		p.LPCore = "sparse"
-	case denseSolves > 0:
-		p.LPCore = "dense"
 	}
 	if *shardTargets > 0 {
 		p.Shards = reg.CounterValue("eagleeye_shard_solves_total")
@@ -514,7 +506,7 @@ func main() {
 	p.PartialPricingSolves = partialSolves(reg)
 	if p.PartialPricingSolves > 0 {
 		p.LPPricing = "partial"
-	} else if denseSolves+sparseSolves > 0 {
+	} else if lpSolves > 0 {
 		p.LPPricing = "full"
 	}
 	emit(p, *out)

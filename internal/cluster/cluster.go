@@ -149,8 +149,8 @@ func (st *SolverState) warmFromGreedy(ar *coverArena, nc int) ([]float64, bool) 
 
 func (o Options) withDefaults() Options {
 	if o.MaxILPCandidates == 0 {
-		// Beyond a few hundred candidate columns the dense-simplex set
-		// cover stops paying for itself against greedy; dense frames fall
+		// Beyond a few hundred candidate columns the ILP set cover
+		// stops paying for itself against greedy; dense frames fall
 		// back (the paper's OR-Tools backend has the same structure with a
 		// faster LP core, so its threshold is higher, not absent).
 		o.MaxILPCandidates = 700
@@ -175,15 +175,15 @@ type SolveStats struct {
 	Gap       float64       // bound - incumbent when the solve stopped early
 	PivotWall time.Duration // wall time spent inside LP solves
 	// Warm-start and LP anomaly accounting (flight-recorder signals).
-	WarmAttempted    bool // a warm candidate was offered to the solver
-	WarmAccepted     bool // the candidate verified feasible
-	Refactorizations int  // sparse-core mid-solve refactorizations
-	RepairFails      int  // dual-repair attempts that went cold
+	WarmAttempted  bool // a warm candidate was offered to the solver
+	WarmAccepted   bool // the candidate verified feasible
+	RefactorAlarms int  // LP refactorizations forced by a tiny pivot (not the routine eta budget)
+	RepairFails    int  // dual-repair attempts that went cold
 	// Fallback reports that the optimizing cover was not attempted or not
 	// used for a capacity reason: the candidate count exceeded
-	// MaxILPCandidates, the ILP solve failed, or the frame exceeded
-	// MaxCoverPoints and took the grid path. ForceGreedy is a deliberate
-	// configuration, not a fallback.
+	// MaxILPCandidates or the ILP solve failed. ForceGreedy is a
+	// deliberate configuration, and the grid path above MaxCoverPoints is
+	// the designed method for dense frames; neither is a fallback.
 	Fallback bool
 }
 
@@ -218,7 +218,7 @@ func CoverStats(pts []geo.Point2, w, h float64, opt Options) ([]Cluster, Method,
 	}
 
 	if opt.MaxCoverPoints > 0 && len(pts) > opt.MaxCoverPoints {
-		return assign(pts, gridCover(ar, pts, w, h)), MethodGrid, SolveStats{Fallback: true}, nil
+		return assign(pts, gridCover(ar, pts, w, h)), MethodGrid, SolveStats{}, nil
 	}
 
 	cands := candidates(ar, pts, w, h)
@@ -492,7 +492,7 @@ func ilpCover(ar *coverArena, pts []geo.Point2, cands []candidate, opts mip.Opti
 	sol, err := ar.ws.SolveOpts(p, opts)
 	stats := SolveStats{Nodes: sol.Nodes, Iters: sol.Iters, Gap: sol.Gap, PivotWall: sol.PivotWall,
 		WarmAttempted: sol.WarmAttempted, WarmAccepted: sol.WarmAccepted,
-		Refactorizations: sol.Refactorizations, RepairFails: sol.RepairFails}
+		RefactorAlarms: sol.RefactorAlarms, RepairFails: sol.RepairFails}
 	if err != nil || (sol.Status != mip.StatusOptimal && sol.Status != mip.StatusFeasible) {
 		return nil, stats, false
 	}

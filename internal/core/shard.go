@@ -454,7 +454,7 @@ func mergeClusterStats(dst *cluster.SolveStats, s cluster.SolveStats) {
 	}
 	dst.WarmAttempted = dst.WarmAttempted || s.WarmAttempted
 	dst.WarmAccepted = dst.WarmAccepted || s.WarmAccepted
-	dst.Refactorizations += s.Refactorizations
+	dst.RefactorAlarms += s.RefactorAlarms
 	dst.RepairFails += s.RepairFails
 	dst.Fallback = dst.Fallback || s.Fallback
 }
@@ -479,6 +479,6 @@ func mergeSchedStats(dst *sched.Stats, s *sched.Stats, first bool) {
 	dst.WarmPruned += s.WarmPruned
 	dst.WarmEarlyExit = dst.WarmEarlyExit || s.WarmEarlyExit
 	dst.BasisReuses += s.BasisReuses
-	dst.Refactorizations += s.Refactorizations
+	dst.RefactorAlarms += s.RefactorAlarms
 	dst.RepairFails += s.RepairFails
 }

@@ -150,8 +150,8 @@ func (sp *sparseCore) clearW(idx []int32) {
 
 // factorizeBasis rebuilds the eta file for sp.basis. On success sp.basis
 // is re-indexed so sp.basis[r] is the column pivoted at row r -- the
-// dense tableau's basis-by-row convention, which the ratio test, xB
-// bookkeeping and saved-basis snapshots all share. Returns false when the
+// basis-by-row convention the ratio test, xB bookkeeping and saved-basis
+// snapshots all share. Returns false when the
 // basis is numerically singular at the given pivot tolerance, leaving the
 // core for the caller to rebuild.
 func (sp *sparseCore) factorizeBasis(tol float64) bool {

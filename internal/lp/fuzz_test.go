@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzSparseDenseDifferential cross-checks the two simplex engines on
-// random bounded LPs: mixed row senses, free and mirrored variables,
-// finite upper bounds, occasional duplicated (degenerate) rows. Statuses
-// must agree, optimal objectives must match to 1e-6, and the sparse
-// core's point must satisfy the model. The byte seed drives a PRNG so
+// FuzzSparseDenseDifferential cross-checks the sparse engine against the
+// dense oracle on random bounded LPs: mixed row senses, free and mirrored
+// variables, finite upper bounds, occasional duplicated (degenerate)
+// rows. Statuses must agree, optimal objectives must match to 1e-6, and
+// the sparse engine's point must satisfy the model. The byte seed drives a PRNG so
 // every fuzz input maps to one deterministic instance.
 func FuzzSparseDenseDifferential(f *testing.F) {
 	f.Add(int64(1))
@@ -71,8 +71,8 @@ func FuzzSparseDenseDifferential(f *testing.F) {
 		}
 		p.A = rows
 
-		dense := solveCore(t, p, CoreDense)
-		sparse := solveCore(t, p, CoreSparse)
+		dense := solveCore(t, p, coreDense)
+		sparse := solveCore(t, p, coreSparse)
 		if dense.Status == StatusIterLimit || sparse.Status == StatusIterLimit {
 			t.Skip("iteration limit") // no ground truth to compare
 		}

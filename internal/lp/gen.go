@@ -10,8 +10,31 @@ import (
 // flow (GenSchedLP) and the clusterer's set cover (GenCoverLP) -- at
 // sizes the real pipeline only reaches at 100k-target constellation
 // scale. The scale benchmarks (cmd/benchlp, BenchmarkSparseSchedShaped)
-// and the sparse/dense differential tests use them; nothing in the
-// production path does.
+// and the differential tests against the dense oracle use them; nothing
+// in the production path does.
+
+// ScaleInstance is one named scale-harness instance.
+type ScaleInstance struct {
+	Name string
+	Gen  func() *Problem
+}
+
+// ScaleInstances returns the cmd/benchlp instance set. quick keeps only
+// the small instances, the ones the dense test oracle also solves in
+// seconds (the scale-set agreement test and CI smoke use them).
+func ScaleInstances(quick bool) []ScaleInstance {
+	set := []ScaleInstance{
+		{"lp/sched_2k", func() *Problem { return GenSchedLP(100, 4, 6, 4, 1) }},
+		{"lp/cover_500", func() *Problem { return GenCoverLP(350, 500, 4, 1) }},
+	}
+	if !quick {
+		set = append(set,
+			ScaleInstance{"lp/sched_6k", func() *Problem { return GenSchedLP(200, 4, 8, 5, 1) }},
+			ScaleInstance{"lp/sched_21k", func() *Problem { return GenSchedLP(400, 3, 24, 6, 1) }},
+		)
+	}
+	return set
+}
 
 // GenSchedLP builds a sched-shaped LP: a time-expanded flow network of
 // `slots` layers with `perSlot` target nodes each, every node reaching

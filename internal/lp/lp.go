@@ -1,9 +1,8 @@
 // Package lp implements a two-phase primal simplex solver for linear
-// programs, with two interchangeable engines behind one API: a dense
-// tableau core for small instances and a sparse revised simplex (CSC
-// columns, eta-file basis factorization, sparse BTRAN/FTRAN pricing) for
-// large ones. It is the linear-algebra substrate beneath internal/mip,
-// which together replace the Google OR-Tools dependency of the paper's
+// programs: a sparse revised simplex (CSC columns, eta-file basis
+// factorization, sparse BTRAN/FTRAN pricing) behind one Solve/Workspace
+// API. It is the linear-algebra substrate beneath internal/mip, which
+// together replace the Google OR-Tools dependency of the paper's
 // prototype (§5.1): EagleEye's target-clustering and follower-scheduling
 // ILPs both reduce to models this solver handles exactly.
 //
@@ -13,19 +12,19 @@
 //	subject to A x (<=|=|>=) b
 //	           lower <= x <= upper   (default 0 <= x < +inf)
 //
-// The implementation is a bounded-variable tableau simplex with Dantzig
-// pricing and a Bland-rule fallback for cycling: variable bounds are
-// handled implicitly (nonbasic variables sit at either bound and may flip
-// between them without a pivot), so finite upper bounds cost no tableau
-// rows. For the all-binary MIPs EagleEye builds this halves the row count
-// relative to the textbook "upper bound = extra <= row" encoding. Free
-// variables are handled natively: a free-below variable with a finite
-// upper bound is mirrored (x = upper - x'), and a fully free variable is
-// split into x⁺ - x⁻.
+// The simplex uses Dantzig pricing with a Bland-rule fallback for
+// cycling. Variable bounds are handled implicitly (nonbasic variables sit
+// at either bound and may flip between them without a pivot), so finite
+// upper bounds cost no constraint rows. For the all-binary MIPs EagleEye
+// builds this halves the row count relative to the textbook "upper bound
+// = extra <= row" encoding. Free variables are handled natively: a
+// free-below variable with a finite upper bound is mirrored
+// (x = upper - x'), and a fully free variable is split into x⁺ - x⁻.
 //
-// A Workspace reuses the tableau arena across solves of same-shaped
-// problems, which is what makes per-node re-solves in branch and bound
-// allocation-free.
+// A Workspace reuses its arenas across solves of same-shaped problems,
+// which is what makes per-node re-solves in branch and bound
+// allocation-free. A dense-tableau implementation of the same pivot
+// rules lives in the package tests as a differential oracle.
 package lp
 
 import (
@@ -92,7 +91,7 @@ func (s Status) String() string {
 // Rows may alternatively be stored sparse (CSR) via RowPtr/ColIdx/Vals;
 // exactly one of A and RowPtr may be set. Model builders that emit
 // thousands of mostly-zero rows (sched, cluster) use the sparse form,
-// which both cores consume directly without densifying rows.
+// which the solver consumes directly without densifying rows.
 type Problem struct {
 	C      []float64   // objective coefficients (maximize)
 	A      [][]float64 // constraint matrix rows (dense form)
@@ -218,32 +217,9 @@ func (p *Problem) upper(j int) float64 {
 	return p.Upper[j]
 }
 
-// Core selects the simplex engine a Workspace uses.
-type Core int8
-
-// Engine choices. CoreAuto picks per problem: the dense tableau below
-// sparseCrossover variables+rows (tiny per-node LPs should not pay basis
-// factorization overhead, and the seed-scale sim stays byte-identical),
-// the sparse revised simplex at or above it. CoreDense and CoreSparse
-// force one engine; the dense core doubles as a differential oracle for
-// the sparse one.
-const (
-	CoreAuto Core = iota
-	CoreDense
-	CoreSparse
-)
-
-// sparseCrossover is the variables+rows threshold at which CoreAuto
-// switches engines. Below it the dense tableau fits comfortably in cache
-// and its branch-free pivot loop wins; above it the O(m*n) tableau memory
-// and O(m*n) work per pivot lose to O(nnz) pricing. The value is
-// deliberately conservative so every seed-scale scheduling model keeps
-// its historical dense pivot sequence.
-const sparseCrossover = 4096
-
-// Partial-pricing policy for the sparse core. Dantzig pricing is O(priced
-// columns) per pivot; on shard-scale models that sweep dominates. Above
-// partialPricingMinCols priced columns the sparse optimizer prices a
+// Partial-pricing policy. Dantzig pricing is O(priced columns) per pivot;
+// on shard-scale models that sweep dominates. Above
+// partialPricingMinCols priced columns the optimizer prices a
 // rotating window of partialPricingWindow columns instead, extending the
 // window until it finds an eligible column (a full empty rotation is the
 // usual optimality certificate), with a full Dantzig sweep every
@@ -288,8 +264,7 @@ func SolveMaxIters(p *Problem, maxIters int) (Solution, error) {
 
 // Workspace owns the solver's working arrays so repeated solves of
 // same-shaped problems -- branch-and-bound nodes differing only in bounds
-// -- reuse one arena instead of allocating a fresh m x total tableau per
-// solve. The zero value is ready to use. A Workspace is not safe for
+// -- reuse one arena instead of allocating fresh engine state per solve. The zero value is ready to use. A Workspace is not safe for
 // concurrent use, and the X slice of a returned Solution aliases an
 // internal buffer: it is valid only until the next solve on the same
 // workspace (copy it to keep it).
@@ -297,8 +272,6 @@ func SolveMaxIters(p *Problem, maxIters int) (Solution, error) {
 // Workspace solves skip Problem.Validate for speed; callers must pass
 // structurally valid problems (package-level Solve validates).
 type Workspace struct {
-	t tableau
-
 	// Obs, when non-nil, receives per-solve counter updates (solves,
 	// pivot iterations, iteration-limit hits). It is fed once per solve
 	// after the pivot loop finishes -- never inside it -- so enabling
@@ -316,47 +289,44 @@ type Workspace struct {
 	// BasisReuses counts solves that started from an installed basis.
 	BasisReuses int
 
-	// Core selects the simplex engine (CoreAuto by default). Saved bases
-	// are portable between engines: both reference the same column
-	// numbering, so a warm basis saved by one installs on the other.
-	Core Core
-	// RefactorEvery, when > 0, forces the sparse core to refactorize the
-	// basis after that many eta updates; 0 selects the adaptive default.
-	// Tests use 1 to exercise the refactorization path on every pivot.
+	// RefactorEvery, when > 0, forces a basis refactorization after that
+	// many eta updates; 0 selects the adaptive default. Tests use 1 to
+	// exercise the refactorization path on every pivot.
 	RefactorEvery int
-	// Factorizations and Refactorizations count sparse-core basis
-	// factorizations: total, and the subset triggered mid-solve by the
-	// eta-file budget or a stability alarm (rather than by a warm
-	// install or crash start).
+	// Factorizations and Refactorizations count basis factorizations:
+	// total, and the subset triggered mid-solve by the eta-file budget or
+	// a stability alarm (rather than by a warm install or crash start).
+	// Budget rebuilds are routine upkeep.
 	Factorizations   int
 	Refactorizations int
-	// RepairFails counts dual-repair attempts (either core) that could
-	// not restore feasibility of an installed basis, forcing the cold
-	// path. A nonzero delta on a solve is an anomaly signal: the reused
-	// basis was stale beyond the pivot budget.
+	// RefactorAlarms counts the stability-alarm subset of
+	// Refactorizations: a tiny pivot element that forced a rebuild and
+	// re-price before the pivot could be trusted. A nonzero delta on a
+	// solve is an anomaly signal (accumulated numerical error).
+	RefactorAlarms int
+	// RepairFails counts dual-repair attempts that could not restore
+	// feasibility of an installed basis, forcing the cold path. A nonzero
+	// delta on a solve is an anomaly signal: the reused basis was stale
+	// beyond the pivot budget.
 	RepairFails int
 
-	// PricingWindow tunes the sparse core's partial pricing. 0 (the
-	// default) applies the automatic policy: window pricing only when the
-	// priced column count reaches partialPricingMinCols. A positive value
-	// forces that window size whenever the priced prefix exceeds it (test
-	// and benchmark hook); a negative value disables partial pricing
-	// entirely. The dense core always prices fully. Bland's rule, when
-	// triggered, always scans the full ascending prefix: anti-cycling
-	// needs the first-eligible-by-index guarantee.
+	// PricingWindow tunes partial pricing. 0 (the default) applies the
+	// automatic policy: window pricing only when the priced column count
+	// reaches partialPricingMinCols. A positive value forces that window
+	// size whenever the priced prefix exceeds it (test and benchmark
+	// hook); a negative value disables partial pricing entirely. Bland's
+	// rule, when triggered, always scans the full ascending prefix:
+	// anti-cycling needs the first-eligible-by-index guarantee.
 	PricingWindow int
 	// PartialPricingSolves counts solves in which at least one pivot was
 	// priced through a partial window.
 	PartialPricingSolves int
 
-	// grow-only arenas backing the tableau.
-	abuf  []float64 // m x total matrix storage
+	// grow-only arenas shared by analysis and extraction.
 	cols  []varCol  // per-variable column mapping
 	brow  []float64 // adjusted RHS per row
 	esens []Sense   // effective sense per row (after sign normalization)
 	flip  []bool    // row was sign-normalized
-	ph1   []float64 // phase-1 objective
-	red   []float64 // reduced costs
 	vals  []float64 // structural column values during extraction
 	xbuf  []float64 // extracted solution
 
@@ -370,14 +340,13 @@ type Workspace struct {
 	// (warm.go, SeedPoint).
 	seed []float64
 
-	// shape analysis shared by both cores (set by analyze).
+	// shape analysis (set by analyze).
 	shp      shape
 	fixedCol []bool  // structural column is fixed by its bounds (rng == 0)
 	price    []int32 // pricing index: enterable columns, ascending
 
-	// sp holds the sparse revised simplex engine, allocated on first use
-	// so dense-only workspaces (the seed-scale sim) never pay for it.
-	sp *sparseCore
+	// sp holds the revised simplex engine state (sparse.go).
+	sp sparseCore
 
 	// blandOverride, when > 0, switches pricing to Bland's rule after
 	// that many iterations of a phase (test hook; 0 keeps the default
@@ -385,9 +354,10 @@ type Workspace struct {
 	blandOverride int
 }
 
-// shape is the tableau geometry both cores share. Saved bases reference
-// these column indices, which is what makes them portable across engines
-// and across solves of same-shaped problems.
+// shape is the column-space geometry of an analyzed problem: structural
+// columns, then one slack per inequality row, then one artificial per GE
+// or EQ row. Saved bases reference these column indices, which is what
+// makes them portable across solves of same-shaped problems.
 type shape struct {
 	m, ncols, nslack, nartif, total, artbase int
 }
@@ -395,28 +365,6 @@ type shape struct {
 // Solve optimizes with the default iteration limit, reusing the arena.
 func (ws *Workspace) Solve(p *Problem) Solution {
 	return ws.SolveMaxIters(p, defaultMax)
-}
-
-// SolveMaxIters optimizes with an explicit simplex iteration limit,
-// reusing the arena. See the Workspace doc for aliasing and validation
-// caveats.
-func (ws *Workspace) SolveMaxIters(p *Problem, maxIters int) Solution {
-	if ws.useSparse(p) {
-		return ws.solveSparse(p, maxIters)
-	}
-	return ws.solveDense(p, maxIters)
-}
-
-// useSparse applies the engine selection policy (Core field, crossover
-// heuristic) to one problem.
-func (ws *Workspace) useSparse(p *Problem) bool {
-	switch ws.Core {
-	case CoreDense:
-		return false
-	case CoreSparse:
-		return true
-	}
-	return len(p.C)+len(p.B) >= sparseCrossover
 }
 
 // pricingWindowFor resolves the partial-pricing window for a priced
@@ -438,116 +386,12 @@ func (ws *Workspace) pricingWindowFor(priced int) int {
 	}
 }
 
-func (ws *Workspace) solveDense(p *Problem, maxIters int) Solution {
-	// With a saved basis on hand, build shape-stably (negative LE
-	// right-hand sides stay unflipped) so branch-tightened bounds cannot
-	// change the tableau shape out from under the install.
-	warmTry := ws.ReuseBasis && ws.savedOK
-	seed := ws.seed
-	ws.seed = nil
-	if !ws.build(p, warmTry) {
-		// Bound analysis found an empty variable box: infeasible.
-		if ws.Obs != nil {
-			ws.Obs.Solves.Inc()
-		}
-		return Solution{Status: StatusInfeasible}
-	}
-	t := &ws.t
-	reused := false
-	if warmTry {
-		if ws.basisShapeMatches() && ws.installBasis() && (t.primalFeasible() || ws.dualRepair(2*t.m+16)) {
-			reused = true
-		} else {
-			// A failed reuse (shape drift, singular basis, or infeasibility
-			// the dual repair could not fix) leaves the tableau unusable for
-			// the cold path -- partially eliminated, possibly with negative
-			// right-hand sides -- so rebuild normalized, keeping any repair
-			// pivots in the iteration count. Stale bases rarely recover, so
-			// drop the snapshot rather than retry it every solve.
-			spent := t.iters
-			ws.savedOK = false
-			ws.build(p, false)
-			t.iters = spent
-		}
-	}
-	if !reused && seed != nil && t.nartif == 0 {
-		// No previous basis applies, but the caller supplied a feasible
-		// point: crash a basis at its vertex and go straight to phase 2.
-		if ws.crashBasis(p, seed) && (t.primalFeasible() || ws.dualRepair(2*t.m+16)) {
-			reused = true
-		} else {
-			spent := t.iters
-			ws.build(p, false)
-			t.iters = spent
-		}
-	}
-	var st Status
-	if reused {
-		// Warm start: the previous optimal basis is still primal-feasible,
-		// so phase 2 runs directly from it and phase 1 is skipped.
-		ws.BasisReuses++
-		st, _ = t.optimize(ws, t.obj, maxIters, false)
-	} else {
-		st = t.solve(ws, maxIters)
-	}
-	if ws.ReuseBasis && st == StatusOptimal {
-		ws.saveBasis()
-	}
-	sol := Solution{Status: st, Iters: t.iters}
-	if ws.Obs != nil {
-		ws.Obs.Solves.Inc()
-		ws.Obs.Iters.Add(int64(t.iters))
-		if st == StatusIterLimit {
-			ws.Obs.IterLimited.Inc()
-		}
-		if ws.Obs.DenseSolves != nil {
-			ws.Obs.DenseSolves.Inc()
-		}
-		if ws.Obs.InstanceNNZ != nil {
-			ws.Obs.InstanceNNZ.SetMax(float64(p.NNZ()))
-		}
-	}
-	if st != StatusOptimal {
-		return sol
-	}
-	ws.xbuf = growFloats(ws.xbuf, len(p.C))
-	sol.X = ws.xbuf[:len(p.C)]
-	ws.vals = growFloats(ws.vals, t.ncols)
-	t.extract(p, ws.cols, ws.vals[:t.ncols], sol.X)
-	for j, c := range p.C {
-		sol.Objective += c * sol.X[j]
-	}
-	return sol
-}
-
-// varCol maps one original variable onto structural tableau columns.
+// varCol maps one original variable onto structural columns.
 type varCol struct {
 	col    int     // primary column index
 	neg    int     // second column of a split free variable; -1 if none
 	shift  float64 // lower bound (normal) or upper bound (mirror)
 	mirror bool    // x = shift - x': free-below with finite upper
-}
-
-// tableau is the working state of the bounded-variable two-phase simplex.
-// Invariants: a holds B^-1 A (updated by pivots), rhs holds the CURRENT
-// basic-variable values (not B^-1 b: nonbasic variables at their upper
-// bound contribute), and every nonbasic column sits at 0 or at rng[j]
-// per atUpper[j] in the shifted space.
-type tableau struct {
-	m       int         // constraint rows
-	total   int         // total columns incl. slacks/artificials
-	ncols   int         // structural columns
-	a       [][]float64 // m x total
-	rhs     []float64   // m: basic-variable values
-	rng     []float64   // per-column range upper-lower (shifted); +inf ok
-	obj     []float64   // phase-2 objective per column
-	basis   []int       // basic column per row
-	inBasis []bool      // per-column basis membership
-	atUpper []bool      // nonbasic column sits at its upper bound
-	cb      []float64   // scratch: objective of basic columns
-	nartif  int
-	artbase int // first artificial column index
-	iters   int
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -579,9 +423,9 @@ func growInt32s(s []int32, n int) []int32 {
 }
 
 // analyze computes the variable/column mapping, row normalization, and
-// tableau shape shared by both cores, plus the pricing index (enterable
-// columns; variables fixed by their bounds are excluded once here instead
-// of being skipped by every pricing sweep). It returns false when some
+// column-space shape of p, plus the pricing index (enterable columns;
+// variables fixed by their bounds are excluded once here instead of being
+// skipped by every pricing sweep). It returns false when some
 // variable box is empty (lower > upper), which the caller reports as
 // infeasible.
 //
@@ -590,8 +434,8 @@ func growInt32s(s []int32, n int) []int32 {
 // the row gaining an artificial. That start is primal infeasible, so it is
 // only valid on the basis-reuse path, where the basis install overwrites
 // the basis anyway and dualRepair settles feasibility -- but it makes the
-// tableau SHAPE depend only on senses and variable freeness, not on bound
-// values, which is what lets a branch-and-bound child (whose tightened
+// column-space SHAPE depend only on senses and variable freeness, not on
+// bound values, which is what lets a branch-and-bound child (whose tightened
 // bound drives an RHS negative) reuse its parent's basis. The cold path
 // always builds with allowNegRHS=false, preserving the b >= 0 invariant
 // the two-phase simplex relies on.
@@ -708,396 +552,4 @@ func (ws *Workspace) analyze(p *Problem, allowNegRHS bool) bool {
 		ws.price = append(ws.price, int32(c))
 	}
 	return true
-}
-
-// build assembles the dense tableau for p inside the workspace arena:
-// shape analysis followed by dense materialization. Returns false when
-// some variable box is empty.
-func (ws *Workspace) build(p *Problem, allowNegRHS bool) bool {
-	if !ws.analyze(p, allowNegRHS) {
-		return false
-	}
-	ws.materializeDense(p)
-	return true
-}
-
-// materializeDense fills the dense tableau from the analysis in ws.shp,
-// ws.cols, ws.brow, ws.esens and ws.flip.
-func (ws *Workspace) materializeDense(p *Problem) {
-	n := len(p.C)
-	m, ncols, total := ws.shp.m, ws.shp.ncols, ws.shp.total
-	t := &ws.t
-	t.m, t.total, t.ncols = m, total, ncols
-	t.nartif, t.artbase = ws.shp.nartif, ws.shp.artbase
-	t.iters = 0
-
-	ws.abuf = growFloats(ws.abuf, m*total)
-	for i := range ws.abuf[:m*total] {
-		ws.abuf[i] = 0
-	}
-	if cap(t.a) < m {
-		t.a = make([][]float64, m)
-	}
-	t.a = t.a[:m]
-	for i := 0; i < m; i++ {
-		t.a[i] = ws.abuf[i*total : (i+1)*total]
-	}
-	t.rhs = growFloats(t.rhs, m)
-	t.basis = growInts(t.basis, m)
-	t.cb = growFloats(t.cb, m)
-	t.inBasis = growBools(t.inBasis, total)
-	t.atUpper = growBools(t.atUpper, total)
-	t.rng = growFloats(t.rng, total)
-	t.obj = growFloats(t.obj, total)
-	for j := 0; j < total; j++ {
-		t.inBasis[j] = false
-		t.atUpper[j] = false
-		t.rng[j] = math.Inf(1)
-		t.obj[j] = 0
-	}
-	for j := 0; j < n; j++ {
-		vc := ws.cols[j]
-		switch {
-		case vc.neg >= 0:
-			t.obj[vc.col], t.obj[vc.neg] = p.C[j], -p.C[j]
-		case vc.mirror:
-			t.obj[vc.col] = -p.C[j]
-		default:
-			t.obj[vc.col] = p.C[j]
-			if up := p.upper(j); !math.IsInf(up, 1) {
-				r := up - vc.shift
-				if r < 0 {
-					r = 0 // lower ~ upper within tolerance: fixed variable
-				}
-				t.rng[vc.col] = r
-			}
-		}
-	}
-
-	slackCol, artCol := ncols, t.artbase
-	for i := 0; i < m; i++ {
-		sgn := 1.0
-		if ws.flip[i] {
-			sgn = -1
-		}
-		ri := t.a[i]
-		if p.RowPtr != nil {
-			for k := p.RowPtr[i]; k < p.RowPtr[i+1]; k++ {
-				vc := ws.cols[p.ColIdx[k]]
-				c := p.Vals[k] * sgn
-				if vc.neg >= 0 {
-					ri[vc.col] = c
-					ri[vc.neg] = -c
-				} else if vc.mirror {
-					ri[vc.col] = -c
-				} else {
-					ri[vc.col] = c
-				}
-			}
-		} else {
-			row := p.A[i]
-			for j := 0; j < n; j++ {
-				vc := ws.cols[j]
-				c := row[j] * sgn
-				if vc.neg >= 0 {
-					ri[vc.col] = c
-					ri[vc.neg] = -c
-				} else if vc.mirror {
-					ri[vc.col] = -c
-				} else {
-					ri[vc.col] = c
-				}
-			}
-		}
-		t.rhs[i] = ws.brow[i]
-		switch ws.esens[i] {
-		case LE:
-			ri[slackCol] = 1
-			t.basis[i] = slackCol
-			slackCol++
-		case GE:
-			ri[slackCol] = -1
-			slackCol++
-			ri[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		case EQ:
-			ri[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		}
-		t.inBasis[t.basis[i]] = true
-	}
-	ws.red = growFloats(ws.red, total)
-}
-
-// solve runs phase 1 (if artificials exist) then phase 2.
-func (t *tableau) solve(ws *Workspace, maxIters int) Status {
-	if t.nartif > 0 {
-		// Phase 1: maximize -(sum of artificials).
-		ws.ph1 = growFloats(ws.ph1, t.total)
-		ph1 := ws.ph1[:t.total]
-		for j := range ph1 {
-			ph1[j] = 0
-		}
-		for j := t.artbase; j < t.total; j++ {
-			ph1[j] = -1
-		}
-		st, objVal := t.optimize(ws, ph1, maxIters, true)
-		if st == StatusUnbounded {
-			// Phase-1 objective is bounded above by 0; treat as numeric
-			// failure.
-			return StatusIterLimit
-		}
-		if st != StatusOptimal {
-			return st
-		}
-		if objVal < -feasTol {
-			return StatusInfeasible
-		}
-		// Pivot remaining artificials out of the basis where possible.
-		t.evictArtificials()
-	}
-	st, _ := t.optimize(ws, t.obj, maxIters, false)
-	return st
-}
-
-// optimize runs simplex iterations for the given objective, returning the
-// status and the achieved objective value (in shifted space). Columns at or
-// beyond artbase are never allowed to enter during phase 2.
-func (t *tableau) optimize(ws *Workspace, obj []float64, maxIters int, phase1 bool) (Status, float64) {
-	limit := t.total
-	if !phase1 {
-		limit = t.artbase // artificials may not re-enter
-	}
-	cb := t.cb
-	red := ws.red
-	for iter := 0; ; iter++ {
-		if t.iters >= maxIters {
-			return StatusIterLimit, 0
-		}
-		t.iters++
-		for i := 0; i < t.m; i++ {
-			cb[i] = obj[t.basis[i]]
-		}
-		// Price every column in one row-major sweep: red = c - A^T cB
-		// (the tableau columns hold B^-1 A, so this is the reduced cost).
-		copy(red[:limit], obj[:limit])
-		for i := 0; i < t.m; i++ {
-			c := cb[i]
-			if c == 0 {
-				continue
-			}
-			ri := t.a[i][:limit]
-			rd := red[:len(ri)]
-			for j, v := range ri {
-				rd[j] -= c * v
-			}
-		}
-		// Entering column: a nonbasic at its lower bound improves by
-		// increasing (red > 0); one at its upper bound by decreasing
-		// (red < 0). Dantzig normally; Bland (first eligible) when the
-		// iteration count in this phase grows large (anti-cycling). The
-		// sweep walks ws.price, which already excludes bound-fixed
-		// columns; it is ascending, so the first eligible under Bland is
-		// the same column the full scan would pick.
-		blandAfter := 4 * (t.m + t.total)
-		if ws.blandOverride > 0 {
-			blandAfter = ws.blandOverride
-		}
-		bland := iter > blandAfter
-		enter := -1
-		dir := 1.0
-		best := eps
-		for _, j32 := range ws.price {
-			j := int(j32)
-			if j >= limit {
-				break
-			}
-			if t.inBasis[j] {
-				continue
-			}
-			r := red[j]
-			if t.atUpper[j] {
-				r = -r
-			}
-			if r > best {
-				enter = j
-				dir = 1
-				if t.atUpper[j] {
-					dir = -1
-				}
-				if bland {
-					break
-				}
-				best = r
-			}
-		}
-		if enter < 0 {
-			return StatusOptimal, t.objValue(obj)
-		}
-		// Ratio test along direction dir: the entering variable moves by
-		// step >= 0 until (a) a basic variable hits its lower bound,
-		// (b) a basic variable hits its upper bound, or (c) the entering
-		// variable reaches its own opposite bound (a bound flip: no
-		// pivot, just reanchor the column).
-		step := t.rng[enter]
-		fl := !math.IsInf(step, 1)
-		leave, leaveAtUpper := -1, false
-		for i := 0; i < t.m; i++ {
-			w := dir * t.a[i][enter]
-			var r float64
-			var hitUpper bool
-			if w > eps {
-				r = t.rhs[i] / w
-			} else if w < -eps {
-				ub := t.rng[t.basis[i]]
-				if math.IsInf(ub, 1) {
-					continue
-				}
-				r = (ub - t.rhs[i]) / -w
-				hitUpper = true
-			} else {
-				continue
-			}
-			if r < step-eps || (r < step+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
-				step = r
-				leave = i
-				leaveAtUpper = hitUpper
-				fl = false
-			}
-		}
-		if leave < 0 && !fl {
-			return StatusUnbounded, 0
-		}
-		if step < 0 {
-			step = 0 // degenerate: clamp numerical noise
-		}
-		if fl {
-			// Bound flip: the entering variable swings to its other
-			// bound; basic values shift, the basis is unchanged.
-			for i := 0; i < t.m; i++ {
-				t.rhs[i] -= step * dir * t.a[i][enter]
-			}
-			t.atUpper[enter] = !t.atUpper[enter]
-			continue
-		}
-		t.pivot(leave, enter, dir, step, leaveAtUpper)
-	}
-}
-
-// objValue computes the current objective in shifted space: basic values
-// plus nonbasic-at-upper contributions.
-func (t *tableau) objValue(obj []float64) float64 {
-	val := 0.0
-	for i := 0; i < t.m; i++ {
-		val += obj[t.basis[i]] * t.rhs[i]
-	}
-	for j := 0; j < t.total; j++ {
-		if t.atUpper[j] && !t.inBasis[j] {
-			val += obj[j] * t.rng[j]
-		}
-	}
-	return val
-}
-
-// pivot moves the entering column into the basis at row `row`, with the
-// entering variable having travelled `step` from its current bound in
-// direction `dir`. The leaving variable exits at its lower bound, or at
-// its upper bound when leaveAtUpper is set. rhs is updated to the new
-// basic values directly (it holds values, not B^-1 b), then the matrix
-// gets the usual Gauss-Jordan elimination.
-func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) {
-	for i := 0; i < t.m; i++ {
-		if i != row {
-			t.rhs[i] -= step * dir * t.a[i][col]
-		}
-	}
-	if dir > 0 {
-		t.rhs[row] = step // entered rising from its lower bound
-	} else {
-		t.rhs[row] = t.rng[col] - step // entered falling from its upper bound
-	}
-	lv := t.basis[row]
-	t.atUpper[lv] = leaveAtUpper
-
-	pr := t.a[row][:t.total]
-	inv := 1 / pr[col]
-	for j := range pr {
-		pr[j] *= inv
-	}
-	for i := 0; i < t.m; i++ {
-		if i == row {
-			continue
-		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i][:len(pr)]
-		for j, v := range pr {
-			ri[j] -= f * v
-		}
-	}
-	t.inBasis[lv] = false
-	t.basis[row] = col
-	t.inBasis[col] = true
-	t.atUpper[col] = false
-}
-
-// evictArtificials pivots basic artificial variables (at value ~0 after a
-// feasible phase 1) out of the basis when a non-artificial pivot exists.
-// A zero-step pivot swaps the basis without moving the point.
-func (t *tableau) evictArtificials() {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.artbase {
-			continue
-		}
-		for j := 0; j < t.artbase; j++ {
-			if !t.inBasis[j] && math.Abs(t.a[i][j]) > eps {
-				dir := 1.0
-				if t.atUpper[j] {
-					dir = -1
-				}
-				t.pivot(i, j, dir, 0, false)
-				break
-			}
-		}
-	}
-}
-
-// extract recovers the original-space variable values into x, using vals
-// (len ncols) as scratch for per-column values in shifted space.
-func (t *tableau) extract(p *Problem, cols []varCol, vals, x []float64) {
-	// Structural column values: basic from rhs, nonbasic at one bound.
-	for c := range vals {
-		if t.atUpper[c] {
-			vals[c] = t.rng[c]
-		} else {
-			vals[c] = 0
-		}
-	}
-	for i, b := range t.basis {
-		if b < t.ncols {
-			vals[b] = t.rhs[i]
-		}
-	}
-	for j := range x {
-		vc := cols[j]
-		switch {
-		case vc.neg >= 0:
-			x[j] = vals[vc.col] - vals[vc.neg]
-		case vc.mirror:
-			x[j] = vc.shift - vals[vc.col]
-		default:
-			x[j] = vc.shift + vals[vc.col]
-		}
-		// Snap to bounds within tolerance to suppress simplex noise.
-		if lo := p.lower(j); x[j] < lo {
-			x[j] = lo
-		}
-		if ub := p.upper(j); x[j] > ub {
-			x[j] = ub
-		}
-	}
 }

@@ -13,7 +13,7 @@ func solvePriced(t *testing.T, p *Problem, window int) (*Workspace, Solution) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	ws := &Workspace{Core: CoreSparse, PricingWindow: window}
+	ws := &Workspace{PricingWindow: window}
 	return ws, ws.Solve(p)
 }
 
@@ -62,8 +62,8 @@ func TestPartialPricingUnderBland(t *testing.T) {
 	// and agree with the dense oracle: the partial path defers to a full
 	// ascending first-eligible scan whenever Bland is active.
 	p := GenSchedLP(25, 6, 5, 4, 13)
-	dense := solveCore(t, p, CoreDense)
-	ws := &Workspace{Core: CoreSparse, PricingWindow: 32, blandOverride: 1}
+	dense := solveCore(t, p, coreDense)
+	ws := &Workspace{PricingWindow: 32, blandOverride: 1}
 	sol := ws.Solve(p)
 	if dense.Status == StatusIterLimit || sol.Status == StatusIterLimit {
 		t.Skip("iteration limit")
@@ -142,7 +142,7 @@ func FuzzPartialPricingDifferential(f *testing.F) {
 		}
 		p.A = rows
 
-		dense := solveCore(t, p, CoreDense)
+		dense := solveCore(t, p, coreDense)
 		_, win := solvePriced(t, p, 2)
 		if dense.Status == StatusIterLimit || win.Status == StatusIterLimit {
 			t.Skip("iteration limit")

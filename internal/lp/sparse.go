@@ -2,31 +2,29 @@ package lp
 
 import "math"
 
-// Sparse revised simplex engine. It implements exactly the pivot rules of
-// the dense tableau core -- Dantzig pricing with the Bland fallback,
+// Sparse revised simplex engine: Dantzig pricing with the Bland fallback,
 // implicit bounded variables with pivot-free bound flips, native free
 // variables, two phases with artificial eviction, and the warm-start
-// contract (install saved basis, dual repair, seed crash) -- but holds
-// the constraint matrix as immutable CSC columns and the basis inverse as
-// an eta file (factor.go) instead of a dense B^-1 A tableau. Per
-// iteration it does one BTRAN for the pricing multipliers, one O(nnz)
-// reduced-cost sweep over sparse columns, and one sparse FTRAN of the
-// entering column, so work scales with the nonzero count rather than
-// m*n. The eta file grows by one eta per pivot and is rebuilt
-// (refactorized) when the update budget runs out or a pivot value looks
-// numerically degraded.
+// contract (install saved basis, dual repair, seed crash). It holds the
+// constraint matrix as immutable CSC columns and the basis inverse as an
+// eta file (factor.go). Per iteration it does one BTRAN for the pricing
+// multipliers, one O(nnz) reduced-cost sweep over sparse columns, and one
+// sparse FTRAN of the entering column, so work scales with the nonzero
+// count rather than m*n. The eta file grows by one eta per pivot and is
+// rebuilt (refactorized) when the update budget runs out -- routine
+// upkeep -- or when a pivot value looks numerically degraded, which is
+// counted separately as a stability alarm.
 
-// sparseCore is the engine state, lazily allocated on a Workspace so
-// dense-only workspaces never pay for it. All slices are grow-only
-// arenas: steady-state re-solves (branch-and-bound nodes, per-frame
-// models) allocate nothing.
+// sparseCore is the engine state held by every Workspace. All slices are
+// grow-only arenas: steady-state re-solves (branch-and-bound nodes,
+// per-frame models) allocate nothing.
 type sparseCore struct {
 	m, total, ncols, artbase, nartif int
 
 	// CSC of the full shifted column space: structural columns (sign-
 	// adjusted for row flips and mirror/split variables), then slacks,
-	// then artificials -- the same column numbering the dense tableau
-	// uses, which is what makes saved bases portable between engines.
+	// then artificials -- the numbering of Workspace.shp, which saved
+	// bases reference.
 	colPtr []int32
 	rowIdx []int32
 	vals   []float64
@@ -66,20 +64,15 @@ type sparseCore struct {
 	usedPartial bool
 
 	// per-solve stats, accumulated into the Workspace counters.
-	factorizations, refactorizations, fillIn int
+	factorizations, refactorizations, alarms, fillIn int
 }
 
-// sparse returns the lazily allocated engine.
-func (ws *Workspace) sparse() *sparseCore {
-	if ws.sp == nil {
-		ws.sp = &sparseCore{}
-	}
-	return ws.sp
-}
-
-// solveSparse is the sparse-core twin of solveDense: same warm-start
-// orchestration, same statuses, same extraction.
-func (ws *Workspace) solveSparse(p *Problem, maxIters int) Solution {
+// SolveMaxIters optimizes with an explicit simplex iteration limit,
+// reusing the arena: warm-start attempts (saved basis, then seed point),
+// the two-phase simplex when neither applies, counter updates and
+// solution extraction. See the Workspace doc for aliasing and validation
+// caveats.
+func (ws *Workspace) SolveMaxIters(p *Problem, maxIters int) Solution {
 	warmTry := ws.ReuseBasis && ws.savedOK
 	seed := ws.seed
 	ws.seed = nil
@@ -89,18 +82,21 @@ func (ws *Workspace) solveSparse(p *Problem, maxIters int) Solution {
 		}
 		return Solution{Status: StatusInfeasible}
 	}
-	sp := ws.sparse()
-	sp.factorizations, sp.refactorizations, sp.fillIn = 0, 0, 0
+	sp := &ws.sp
+	sp.factorizations, sp.refactorizations, sp.alarms, sp.fillIn = 0, 0, 0, 0
 	sp.materialize(ws, p)
 	reused := false
 	if warmTry {
 		if ws.basisShapeMatches() && sp.installSaved(ws) && (sp.primalFeasible() || sp.dualRepair(ws, 2*sp.m+16)) {
 			reused = true
 		} else {
-			// Same fallback contract as the dense core: a failed reuse
-			// leaves the engine unusable (partially installed basis,
-			// possibly negative right-hand sides), so re-analyze
-			// normalized and rebuild, keeping repair pivots in the count.
+			// A failed reuse (shape drift, singular basis, or
+			// infeasibility the dual repair could not fix) leaves the
+			// engine unusable -- partially installed basis, possibly
+			// negative right-hand sides -- so re-analyze normalized and
+			// rebuild, keeping repair pivots in the count. Stale bases
+			// rarely recover, so drop the snapshot rather than retry it
+			// every solve.
 			spent := sp.iters
 			ws.savedOK = false
 			ws.analyze(p, false)
@@ -109,6 +105,8 @@ func (ws *Workspace) solveSparse(p *Problem, maxIters int) Solution {
 		}
 	}
 	if !reused && seed != nil && ws.shp.nartif == 0 {
+		// No previous basis applies, but the caller supplied a feasible
+		// point: crash a basis at its vertex and go straight to phase 2.
 		if sp.crashSeed(ws, p, seed) && (sp.primalFeasible() || sp.dualRepair(ws, 2*sp.m+16)) {
 			reused = true
 		} else {
@@ -126,10 +124,11 @@ func (ws *Workspace) solveSparse(p *Problem, maxIters int) Solution {
 		st = sp.twoPhase(ws, maxIters)
 	}
 	if ws.ReuseBasis && st == StatusOptimal {
-		ws.saveBasisFrom(sp.basis, sp.atUpper)
+		ws.saveBasis(sp.basis, sp.atUpper)
 	}
 	ws.Factorizations += sp.factorizations
 	ws.Refactorizations += sp.refactorizations
+	ws.RefactorAlarms += sp.alarms
 	if sp.usedPartial {
 		ws.PartialPricingSolves++
 	}
@@ -173,8 +172,8 @@ func (ws *Workspace) solveSparse(p *Problem, maxIters int) Solution {
 }
 
 // materialize assembles the CSC matrix, bounds, objective and initial
-// identity basis (slack/artificial per row) from the shared analysis in
-// the workspace. The column numbering matches materializeDense exactly.
+// identity basis (slack/artificial per row) from the shape analysis in
+// the workspace.
 func (sp *sparseCore) materialize(ws *Workspace, p *Problem) {
 	s := &ws.shp
 	n := len(p.C)
@@ -186,7 +185,7 @@ func (sp *sparseCore) materialize(ws *Workspace, p *Problem) {
 	sp.usedPartial = false
 
 	// Count entries per CSC column, then prefix-sum and fill. Zero
-	// coefficients are dropped (the dense form stores every entry).
+	// coefficients are dropped.
 	sp.cnt = growInt32s(sp.cnt, total)
 	cnt := sp.cnt[:total]
 	for c := range cnt {
@@ -340,8 +339,8 @@ func (sp *sparseCore) emitAt(col int, i int32, v float64, cur []int32) {
 	sp.vals[q] = v
 }
 
-// twoPhase mirrors tableau.solve: phase 1 when artificials exist, then
-// phase 2.
+// twoPhase runs phase 1 (maximize minus the sum of artificials) when
+// artificials exist, then phase 2.
 func (sp *sparseCore) twoPhase(ws *Workspace, maxIters int) Status {
 	if sp.nartif > 0 {
 		sp.ph1 = growFloats(sp.ph1, sp.total)
@@ -368,10 +367,14 @@ func (sp *sparseCore) twoPhase(ws *Workspace, maxIters int) Status {
 	return st
 }
 
-// optimize runs revised-simplex iterations for the given objective. The
-// selection rules (Dantzig with Bland fallback, ratio-test tie-breaks,
-// bound flips) are those of tableau.optimize; only the linear algebra
-// differs.
+// optimize runs revised-simplex iterations for the given objective,
+// returning the status and the achieved objective value (in shifted
+// space). Entering columns are chosen by Dantzig pricing, switching to
+// Bland's rule (first eligible in the ascending pricing index) once a
+// phase runs long; the ratio test breaks ties toward the lowest basic
+// column index, and an entering column that reaches its own opposite
+// bound first flips without a pivot. Columns at or beyond artbase never
+// enter in phase 2.
 func (sp *sparseCore) optimize(ws *Workspace, obj []float64, maxIters int, phase1 bool) (Status, float64) {
 	limit := sp.total
 	if !phase1 {
@@ -546,9 +549,11 @@ func (sp *sparseCore) optimize(ws *Workspace, obj []float64, maxIters int, phase
 		}
 		// A tiny pivot through a long eta file is usually accumulated
 		// error, not geometry: refactorize once and re-price before
-		// trusting it.
+		// trusting it. This is the stability alarm, unlike the routine
+		// budget rebuild below.
 		if !justRefactored && math.Abs(sp.w[leave]) < installTol && sp.eta.count() > sp.etasAtFact {
 			sp.clearW(idx)
+			sp.alarms++
 			if !sp.refactorize(ws, eps) {
 				return StatusIterLimit, 0
 			}
@@ -567,7 +572,9 @@ func (sp *sparseCore) optimize(ws *Workspace, obj []float64, maxIters int, phase
 
 // pivot applies the basis change at `row` for entering column `col`:
 // update basic values along w, append one update eta, swap the
-// bookkeeping. Semantics match tableau.pivot.
+// bookkeeping. The entering variable has travelled `step` from its
+// current bound in direction `dir`; the leaving variable exits at its
+// lower bound, or at its upper bound when leaveAtUpper is set.
 func (sp *sparseCore) pivot(row, col int, dir, step float64, leaveAtUpper bool, idx []int32) {
 	for _, i32 := range idx {
 		i := int(i32)
@@ -639,8 +646,8 @@ func (sp *sparseCore) computeXB(ws *Workspace) {
 	copy(sp.xB[:m], rhs)
 }
 
-// objValue mirrors tableau.objValue: basic values plus nonbasic-at-upper
-// contributions, in shifted space.
+// objValue computes the current objective in shifted space: basic values
+// plus nonbasic-at-upper contributions.
 func (sp *sparseCore) objValue(obj []float64) float64 {
 	val := 0.0
 	for i := 0; i < sp.m; i++ {
@@ -657,8 +664,8 @@ func (sp *sparseCore) objValue(obj []float64) float64 {
 // evictArtificials pivots leftover basic artificials (value ~0 after a
 // feasible phase 1) out of the basis when any non-artificial pivot
 // exists: row i of B^-1 (one BTRAN of a unit vector) prices the
-// candidate pivots, and the first eligible column by index -- the dense
-// core's rule -- is pivoted in with a zero step.
+// candidate pivots, and the first eligible column by index is pivoted in
+// with a zero step.
 func (sp *sparseCore) evictArtificials() {
 	m := sp.m
 	rho := sp.rhs[:m]
@@ -693,7 +700,9 @@ func (sp *sparseCore) evictArtificials() {
 	}
 }
 
-// extract mirrors tableau.extract on the sparse state.
+// extract recovers the original-space variable values into x, using vals
+// (len ncols) as scratch for per-column values in shifted space, and
+// snaps them to their bounds to suppress simplex noise.
 func (sp *sparseCore) extract(p *Problem, cols []varCol, vals, x []float64) {
 	for c := range vals {
 		if sp.atUpper[c] {
@@ -777,7 +786,7 @@ func (sp *sparseCore) installSaved(ws *Workspace) bool {
 }
 
 // crashSeed builds a basis at the vertex of a caller-supplied feasible
-// point, the sparse twin of crashBasis: variables strictly inside their
+// point: variables strictly inside their
 // bounds become basic (pivoted in by one factorization pass, fill-ordered
 // arrival), variables at a finite upper bound are anchored there, and
 // every unclaimed row keeps its slack. Requires nartif == 0 (checked by
@@ -873,12 +882,20 @@ func (sp *sparseCore) crashSeed(ws *Workspace, p *Problem, x []float64) bool {
 	return true
 }
 
-// dualRepair is the sparse twin of Workspace.dualRepair: bounded-variable
-// dual-simplex pivots that restore primal feasibility of an installed
-// basis. Per pivot it prices with two BTRANs (multipliers and the
-// violated row of B^-1) and one sweep over the sparse columns. Returns
-// false when a violated row has no eligible entering column or the budget
-// runs out; the caller then rebuilds and goes cold.
+// dualRepair restores primal feasibility of an installed basis with
+// bounded-variable dual-simplex pivots. An installed basis that was
+// optimal for a neighboring problem (the parent branch-and-bound node, or
+// the previous simulation frame) is dual feasible -- the reduced costs
+// depend only on the matrix and objective, which did not change -- and
+// primal infeasible in at most a few rows, so a handful of dual pivots
+// reaches a feasible (usually optimal) vertex where a cold phase 2 would
+// start over from the all-slack corner. Correctness does not ride on the
+// pivot choices: the caller always runs primal phase 2 afterwards, which
+// verifies optimality from whatever vertex this reaches. Per pivot it
+// prices with two BTRANs (multipliers and the violated row of B^-1) and
+// one sweep over the sparse columns. Returns false -- counted in
+// RepairFails -- when a violated row has no eligible entering column or
+// the budget runs out; the caller then rebuilds and goes cold.
 func (sp *sparseCore) dualRepair(ws *Workspace, maxPivots int) bool {
 	if !sp.dualRepairRun(ws, maxPivots) {
 		ws.RepairFails++
@@ -909,8 +926,7 @@ func (sp *sparseCore) dualRepairRun(ws *Workspace, maxPivots int) bool {
 			return true
 		}
 		// y = B^-T c_B for reduced costs; rho = B^-T e_r is row r of
-		// B^-1, whose dot with each column gives the pivot-row entries
-		// the dense code read straight off the tableau.
+		// B^-1, whose dot with each column gives the pivot-row entries.
 		y := sp.y[:m]
 		for i := 0; i < m; i++ {
 			y[i] = obj[sp.basis[i]]

@@ -4,25 +4,17 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"eagleeye/internal/obs"
 )
 
-// solveCore runs one problem on a fresh workspace pinned to the given
-// engine.
-func solveCore(t *testing.T, p *Problem, core Core) Solution {
-	t.Helper()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	ws := &Workspace{Core: core}
-	return ws.Solve(p)
-}
-
-// requireAgree solves p on both cores and fails unless statuses match and
-// optimal objectives agree to 1e-6. Returns the sparse solution.
+// requireAgree solves p on the production engine and the dense oracle
+// and fails unless statuses match and optimal objectives agree to 1e-6.
+// Returns the sparse solution.
 func requireAgree(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	d := solveCore(t, p, CoreDense)
-	s := solveCore(t, p, CoreSparse)
+	d := solveCore(t, p, coreDense)
+	s := solveCore(t, p, coreSparse)
 	if d.Status != s.Status {
 		t.Fatalf("status: dense=%v sparse=%v", d.Status, s.Status)
 	}
@@ -120,9 +112,9 @@ func TestSparseCSREquivalence(t *testing.T) {
 	csr.Coef(3, 1)
 	csr.EndRow(LE, 9)
 
-	want := solveCore(t, dense, CoreDense)
+	want := solveCore(t, dense, coreDense)
 	for _, p := range []*Problem{dense, csr} {
-		for _, core := range []Core{CoreDense, CoreSparse} {
+		for _, core := range []testCore{coreDense, coreSparse} {
 			got := solveCore(t, p, core)
 			if got.Status != StatusOptimal {
 				t.Fatalf("core %d status %v", core, got.Status)
@@ -155,8 +147,7 @@ func bealeProblem() *Problem {
 // and with Bland's rule forced from the first iteration.
 func TestSparseCycling(t *testing.T) {
 	for _, override := range []int{0, 1} {
-		ws := &Workspace{Core: CoreSparse}
-		ws.blandOverride = override
+		ws := &Workspace{blandOverride: override}
 		sol := ws.Solve(bealeProblem())
 		if sol.Status != StatusOptimal {
 			t.Fatalf("blandOverride=%d: status %v", override, sol.Status)
@@ -168,16 +159,17 @@ func TestSparseCycling(t *testing.T) {
 }
 
 // TestSparseRefactorEveryPivot forces a full basis refactorization after
-// every single pivot and checks the answer still matches the dense core
+// every single pivot and checks the answer still matches the dense oracle
 // on a nontrivial random instance -- the strongest exercise of
-// factorizeBasis' pivot ordering and of computeXB.
+// factorizeBasis' pivot ordering and of computeXB. Budget rebuilds are
+// routine upkeep, so none may count as a stability alarm.
 func TestSparseRefactorEveryPivot(t *testing.T) {
 	p := GenSchedLP(12, 4, 3, 3, 7)
-	want := solveCore(t, p, CoreDense)
+	want := solveCore(t, p, coreDense)
 	if want.Status != StatusOptimal {
 		t.Fatalf("dense status %v", want.Status)
 	}
-	ws := &Workspace{Core: CoreSparse, RefactorEvery: 1}
+	ws := &Workspace{RefactorEvery: 1}
 	got := ws.Solve(p)
 	if got.Status != StatusOptimal {
 		t.Fatalf("sparse status %v", got.Status)
@@ -187,6 +179,9 @@ func TestSparseRefactorEveryPivot(t *testing.T) {
 	}
 	if ws.Refactorizations == 0 {
 		t.Fatal("RefactorEvery=1 produced no refactorizations")
+	}
+	if ws.RefactorAlarms != 0 {
+		t.Fatalf("budget-only rebuilds counted %d stability alarms", ws.RefactorAlarms)
 	}
 }
 
@@ -211,9 +206,9 @@ func TestFixedColumnPricing(t *testing.T) {
 		Lower:  []float64{2, 0, 0},
 		Upper:  []float64{2, math.Inf(1), math.Inf(1)}, // x0 fixed at 2
 	}
-	for _, core := range []Core{CoreDense, CoreSparse} {
-		ws := &Workspace{Core: core}
-		sol := ws.Solve(p)
+	for _, core := range []testCore{coreDense, coreSparse} {
+		ws := &Workspace{}
+		sol := ws.solveOn(core, p)
 		if sol.Status != StatusOptimal {
 			t.Fatalf("core %d: status %v", core, sol.Status)
 		}
@@ -242,7 +237,7 @@ func TestFixedColumnPricing(t *testing.T) {
 // cold solve of the perturbed problem.
 func TestWarmColdSparseResolve(t *testing.T) {
 	p := GenSchedLP(10, 4, 3, 2, 11)
-	ws := &Workspace{Core: CoreSparse, ReuseBasis: true}
+	ws := &Workspace{ReuseBasis: true}
 	cold := ws.Solve(p)
 	if cold.Status != StatusOptimal {
 		t.Fatalf("cold status %v", cold.Status)
@@ -267,7 +262,7 @@ func TestWarmColdSparseResolve(t *testing.T) {
 		}
 	}
 	warm2 := ws.Solve(p)
-	coldWS := &Workspace{Core: CoreSparse}
+	coldWS := &Workspace{}
 	cold2 := coldWS.Solve(p)
 	if warm2.Status != cold2.Status {
 		t.Fatalf("perturbed: warm %v cold %v", warm2.Status, cold2.Status)
@@ -282,21 +277,19 @@ func TestWarmColdSparseResolve(t *testing.T) {
 // and skip phase 1.
 func TestWarmColdSparseCrossCore(t *testing.T) {
 	p := GenSchedLP(8, 3, 3, 2, 5)
-	ws := &Workspace{Core: CoreDense, ReuseBasis: true}
-	d := ws.Solve(p)
+	ws := &Workspace{ReuseBasis: true}
+	d := ws.solveOn(coreDense, p)
 	if d.Status != StatusOptimal {
 		t.Fatalf("dense status %v", d.Status)
 	}
-	ws.Core = CoreSparse
-	s := ws.Solve(p)
+	s := ws.solveOn(coreSparse, p)
 	if ws.BasisReuses != 1 {
 		t.Fatalf("dense->sparse BasisReuses = %d, want 1", ws.BasisReuses)
 	}
 	if s.Status != StatusOptimal || math.Abs(s.Objective-d.Objective) > 1e-9 {
 		t.Fatalf("dense->sparse: %v %v, want %v", s.Status, s.Objective, d.Objective)
 	}
-	ws.Core = CoreDense
-	d2 := ws.Solve(p)
+	d2 := ws.solveOn(coreDense, p)
 	if ws.BasisReuses != 2 {
 		t.Fatalf("sparse->dense BasisReuses = %d, want 2", ws.BasisReuses)
 	}
@@ -310,12 +303,12 @@ func TestWarmColdSparseCrossCore(t *testing.T) {
 // reproduce the cold objective.
 func TestSparseSeedPoint(t *testing.T) {
 	p := GenSchedLP(10, 3, 3, 2, 21)
-	cold := solveCore(t, p, CoreSparse)
+	cold := solveCore(t, p, coreSparse)
 	if cold.Status != StatusOptimal {
 		t.Fatalf("cold status %v", cold.Status)
 	}
 	seed := append([]float64(nil), cold.X...)
-	ws := &Workspace{Core: CoreSparse, ReuseBasis: true}
+	ws := &Workspace{ReuseBasis: true}
 	ws.SeedPoint(seed)
 	sol := ws.Solve(p)
 	if sol.Status != StatusOptimal {
@@ -329,35 +322,60 @@ func TestSparseSeedPoint(t *testing.T) {
 	}
 }
 
-// TestSparseCountersAndAuto checks the factorization counters tick and
-// the CoreAuto crossover picks the dense engine at seed scale.
+// TestSparseCountersAndAuto checks that a default Workspace runs a
+// seed-scale scheduling model on the sparse engine -- there is no
+// size-based engine switch -- and that the factorization and per-core
+// solve counters tick accordingly.
 func TestSparseCountersAndAuto(t *testing.T) {
 	p := GenSchedLP(10, 4, 3, 2, 31)
-	ws := &Workspace{Core: CoreSparse}
+	reg := obs.NewRegistry()
+	ws := &Workspace{Obs: obs.NewSolverMetrics(reg, "sched").LP}
 	if sol := ws.Solve(p); sol.Status != StatusOptimal {
 		t.Fatalf("status %v", sol.Status)
 	}
 	if ws.Factorizations == 0 {
 		t.Fatal("no factorizations recorded")
 	}
-	auto := &Workspace{}
-	if auto.useSparse(p) {
-		t.Fatalf("CoreAuto chose sparse for n+m=%d < %d", len(p.C)+len(p.B), sparseCrossover)
+	solver := obs.Label{Key: "solver", Value: "sched"}
+	if got := reg.CounterValue("eagleeye_lp_core_solves_total", solver, obs.Label{Key: "core", Value: "sparse"}); got != 1 {
+		t.Errorf("core=sparse solves = %d, want 1", got)
 	}
-	big := &Problem{C: make([]float64, sparseCrossover)}
-	if !auto.useSparse(big) {
-		t.Fatal("CoreAuto chose dense above the crossover")
+	if got := reg.CounterValue("eagleeye_lp_core_solves_total", solver, obs.Label{Key: "core", Value: "dense"}); got != 0 {
+		t.Errorf("core=dense solves = %d, want 0", got)
+	}
+}
+
+// TestRefactorAlarmCounting forces the stability alarm: a tiny pivot
+// element after eta updates refactorizes and re-prices before pivoting,
+// and is counted as an alarm (routine budget rebuilds are not; see
+// TestSparseRefactorEveryPivot).
+func TestRefactorAlarmCounting(t *testing.T) {
+	// max x0 + x1 s.t. x0 <= 1, 1e-8 x1 <= 1e-8. x0 enters first (one
+	// eta on file), then x1's only pivot candidate is the 1e-8 entry.
+	p := &Problem{
+		C:      []float64{1, 1},
+		A:      [][]float64{{1, 0}, {0, 1e-8}},
+		B:      []float64{1, 1e-8},
+		Senses: []Sense{LE, LE},
+	}
+	alarm := &Workspace{}
+	sol := alarm.Solve(p)
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective-2) > 1e-6 {
+		t.Fatalf("tiny pivot: status %v objective %v, want optimal 2", sol.Status, sol.Objective)
+	}
+	if alarm.RefactorAlarms != 1 || alarm.Refactorizations != 1 {
+		t.Fatalf("tiny pivot: refactorizations=%d alarms=%d, want 1 and 1",
+			alarm.Refactorizations, alarm.RefactorAlarms)
 	}
 }
 
 // BenchmarkSparseSchedShaped times the sparse core on a large
-// sched-shaped instance (~8.4k vars); the dense tableau at this size
-// would allocate a ~700MB tableau, so only the sparse engine runs here
-// (cmd/benchlp measures the dense/sparse ratio at sizes the dense core
-// can still stomach).
+// sched-shaped instance (~8.4k vars); the dense oracle at this size
+// would allocate a ~700MB tableau, so only the production engine runs
+// here.
 func BenchmarkSparseSchedShaped(b *testing.B) {
 	p := GenSchedLP(400, 6, 3, 8, 1)
-	ws := &Workspace{Core: CoreSparse}
+	var ws Workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

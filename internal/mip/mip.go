@@ -118,8 +118,8 @@ type Solution struct {
 
 	// Anomaly signals for the flight recorder, as per-solve deltas of the
 	// workspace's cumulative counters.
-	Refactorizations int // sparse-core mid-solve refactorizations
-	RepairFails      int // dual-repair attempts that went cold
+	RefactorAlarms int // LP refactorizations forced by a tiny pivot (not the routine eta budget)
+	RepairFails    int // dual-repair attempts that went cold
 }
 
 // feasTol is the absolute-plus-relative feasibility tolerance used when
@@ -197,7 +197,7 @@ func Solve(p *Problem) (Solution, error) { return SolveOpts(p, Options{}) }
 
 // SolveOpts optimizes the MIP with a throwaway Workspace. Callers that
 // solve many similarly shaped problems should hold a Workspace and use its
-// SolveOpts method, which reuses the search and tableau arenas.
+// SolveOpts method, which reuses the search and LP arenas.
 func SolveOpts(p *Problem, opts Options) (Solution, error) {
 	var w Workspace
 	return w.SolveOpts(p, opts)

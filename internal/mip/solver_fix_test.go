@@ -146,3 +146,27 @@ func TestSolverStatsPopulated(t *testing.T) {
 		t.Errorf("iters %d < nodes %d: every solved node costs at least one iteration", sol.Iters, sol.Nodes)
 	}
 }
+
+// TestRefactorAlarmsDelta checks that a solve reports the LP stability
+// alarms it caused as a per-solve delta: the tiny 1e-8 pivot forces one
+// alarm on the first solve, and a second solve on the same workspace
+// reports its own alarm rather than the running total.
+func TestRefactorAlarmsDelta(t *testing.T) {
+	p := &Problem{}
+	p.C = []float64{1, 1}
+	p.AddRow([]float64{1, 0}, lp.LE, 1)
+	p.AddRow([]float64{0, 1e-8}, lp.LE, 1e-8)
+	var w Workspace
+	for i := 0; i < 2; i++ {
+		sol, err := w.SolveOpts(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != StatusOptimal || math.Abs(sol.Objective-2) > 1e-6 {
+			t.Fatalf("solve %d: status %v objective %v, want optimal 2", i, sol.Status, sol.Objective)
+		}
+		if sol.RefactorAlarms != 1 {
+			t.Errorf("solve %d: RefactorAlarms = %d, want 1", i, sol.RefactorAlarms)
+		}
+	}
+}

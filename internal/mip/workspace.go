@@ -12,7 +12,7 @@ import (
 // node heap, the branch-bound arena, and the underlying LP workspace -- so
 // repeated solves of similarly shaped problems (the scheduler solves one
 // small MIP per simulation frame) reuse one set of allocations instead of
-// rebuilding the tableau arena every call. The zero value is ready to use.
+// rebuilding the LP arena every call. The zero value is ready to use.
 //
 // A Workspace is not safe for concurrent use. Solution.X is a fresh copy
 // and stays valid across later solves on the same workspace.
@@ -123,7 +123,7 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 		}
 	}
 
-	// One LP workspace serves every node: the tableau arena is built once
+	// One LP workspace serves every node: the LP arena is built once
 	// and re-solved with mutated bounds, so the per-node m x total
 	// allocation of the old path disappears. p was validated above, so the
 	// workspace's validation-free solve is safe. Solution.X aliases the
@@ -136,11 +136,11 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 	}
 	ws.ReuseBasis = opts.ReuseBasis
 	basisReuses0 := ws.BasisReuses
-	refactor0 := ws.Refactorizations
+	alarms0 := ws.RefactorAlarms
 	repair0 := ws.RepairFails
 	if warmOK && opts.ReuseBasis {
 		// Crash the root relaxation's basis at the warm candidate's vertex:
-		// when no saved basis fits the root's tableau shape (the common case
+		// when no saved basis fits the root's LP shape (the common case
 		// across simulation frames, whose models rarely repeat shapes), the
 		// LP starts phase 2 from the candidate instead of running phase 1
 		// from the all-slack corner. One-shot: children reuse the root's
@@ -191,9 +191,9 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 				if nodes == 1 {
 					out := Solution{Status: StatusUnbounded, Nodes: nodes, Iters: iters, PivotWall: pivotWall,
 						WarmAttempted: opts.WarmStart != nil, WarmAccepted: warmOK,
-						BasisReuses:      ws.BasisReuses - basisReuses0,
-						Refactorizations: ws.Refactorizations - refactor0,
-						RepairFails:      ws.RepairFails - repair0}
+						BasisReuses:    ws.BasisReuses - basisReuses0,
+						RefactorAlarms: ws.RefactorAlarms - alarms0,
+						RepairFails:    ws.RepairFails - repair0}
 					recordSolve(opts.Metrics, &out)
 					return out, nil
 				}
@@ -299,9 +299,9 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 	out := Solution{Nodes: nodes, Iters: iters, PivotWall: pivotWall,
 		WarmAttempted: opts.WarmStart != nil, WarmAccepted: warmOK,
 		WarmPruned: warmPruned, WarmEarlyExit: warmEarly,
-		BasisReuses:      ws.BasisReuses - basisReuses0,
-		Refactorizations: ws.Refactorizations - refactor0,
-		RepairFails:      ws.RepairFails - repair0}
+		BasisReuses:    ws.BasisReuses - basisReuses0,
+		RefactorAlarms: ws.RefactorAlarms - alarms0,
+		RepairFails:    ws.RepairFails - repair0}
 	switch {
 	case incumbent != nil && !stopped:
 		out.Status = StatusOptimal

@@ -40,8 +40,10 @@ type LPMetrics struct {
 	Iters       *Counter // pivots performed
 	IterLimited *Counter // solves abandoned at the iteration limit
 
-	// Engine split and sparse-core factorization activity.
-	DenseSolves      *Counter // solves run on the dense tableau core
+	// Engine split and factorization activity. Production solves all run
+	// on the sparse revised simplex; DenseSolves is ticked only by the lp
+	// package's dense test oracle, so the core="dense" series stays 0.
+	DenseSolves      *Counter // solves run on the dense tableau oracle
 	SparseSolves     *Counter // solves run on the sparse revised simplex
 	Factorizations   *Counter // sparse basis factorizations (all causes)
 	Refactorizations *Counter // factorizations forced mid-solve (eta budget / stability)
@@ -64,7 +66,7 @@ func NewSolverMetrics(r *Registry, solver string) *SolverMetrics {
 			Solves:           r.Counter("eagleeye_lp_solves_total", "Simplex solves (node relaxations).", lbl),
 			Iters:            r.Counter("eagleeye_lp_iters_total", "Simplex pivots performed.", lbl),
 			IterLimited:      r.Counter("eagleeye_lp_iter_limited_total", "Simplex solves abandoned at the iteration limit.", lbl),
-			DenseSolves:      r.Counter("eagleeye_lp_core_solves_total", "Simplex solves on the dense tableau core.", lbl, Label{Key: "core", Value: "dense"}),
+			DenseSolves:      r.Counter("eagleeye_lp_core_solves_total", "Simplex solves on the dense tableau test oracle (0 in production).", lbl, Label{Key: "core", Value: "dense"}),
 			SparseSolves:     r.Counter("eagleeye_lp_core_solves_total", "Simplex solves on the sparse revised simplex core.", lbl, Label{Key: "core", Value: "sparse"}),
 			Factorizations:   r.Counter("eagleeye_lp_factorizations_total", "Sparse-core basis factorizations.", lbl),
 			Refactorizations: r.Counter("eagleeye_lp_refactorizations_total", "Sparse-core factorizations forced mid-solve by the eta budget or a stability alarm.", lbl),

@@ -76,8 +76,9 @@ const (
 	// AnomDualRepair: a reused LP basis violated bounds and the dual
 	// repair pivots could not restore feasibility (cold-path fallback).
 	AnomDualRepair
-	// AnomRefactor: the sparse LP core was forced to refactorize its
-	// basis mid-solve (eta budget or stability alarm).
+	// AnomRefactor: the LP hit a stability alarm -- a tiny pivot element
+	// that forced a basis refactorization mid-solve. Routine rebuilds on
+	// the eta-update budget do not count.
 	AnomRefactor
 	// AnomDeadline: compute + scheduling exceeded the frame cadence.
 	AnomDeadline

@@ -157,7 +157,7 @@ func (s ILP) scheduleSequential(p *Problem) (Schedule, error) {
 		stats.PivotWall += subOut.SolveStats.PivotWall
 		stats.Fallback = stats.Fallback || subOut.SolveStats.Fallback
 		stats.WarmAttempted = stats.WarmAttempted || subOut.SolveStats.WarmAttempted
-		stats.Refactorizations += subOut.SolveStats.Refactorizations
+		stats.RefactorAlarms += subOut.SolveStats.RefactorAlarms
 		stats.RepairFails += subOut.SolveStats.RepairFails
 		// Sequential decomposition is itself a heuristic, so the joint
 		// optimum is not certified even if each sub-solve is.
@@ -235,19 +235,19 @@ func (s ILP) scheduleJoint(p *Problem) (Schedule, error) {
 		polish(ar, p, &out)
 	}
 	out.SolveStats = Stats{
-		Algorithm:        "ilp",
-		Nodes:            sol.Nodes,
-		Optimal:          sol.Status == mip.StatusOptimal,
-		Iters:            sol.Iters,
-		Gap:              sol.Gap,
-		PivotWall:        sol.PivotWall,
-		WarmAttempted:    sol.WarmAttempted,
-		Warm:             sol.WarmAccepted,
-		WarmPruned:       sol.WarmPruned,
-		WarmEarlyExit:    sol.WarmEarlyExit,
-		BasisReuses:      sol.BasisReuses,
-		Refactorizations: sol.Refactorizations,
-		RepairFails:      sol.RepairFails,
+		Algorithm:      "ilp",
+		Nodes:          sol.Nodes,
+		Optimal:        sol.Status == mip.StatusOptimal,
+		Iters:          sol.Iters,
+		Gap:            sol.Gap,
+		PivotWall:      sol.PivotWall,
+		WarmAttempted:  sol.WarmAttempted,
+		Warm:           sol.WarmAccepted,
+		WarmPruned:     sol.WarmPruned,
+		WarmEarlyExit:  sol.WarmEarlyExit,
+		BasisReuses:    sol.BasisReuses,
+		RefactorAlarms: sol.RefactorAlarms,
+		RepairFails:    sol.RepairFails,
 	}
 	if st != nil {
 		st.remember(p, &out)
@@ -469,7 +469,7 @@ func (s ILP) buildModel(ar *ilpArena, p *Problem) *ilpModel {
 	// its few nonzeros and closes with EndRow, so no dense row of width nv
 	// is ever materialized and the same builder scales from tens to tens
 	// of thousands of variables. The within-row coefficient sets are
-	// identical to the dense rows this replaced, and neither engine is
+	// identical to the dense rows this replaced, and the solver is not
 	// sensitive to within-row emission order, so solves are unchanged.
 	prob.ResetSparseRows()
 	// in(v) <= 1 and out(v) - in(v) <= 0. The conservation row is emitted

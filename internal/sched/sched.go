@@ -185,8 +185,8 @@ type Stats struct {
 	WarmEarlyExit bool // a bound proved the warm candidate optimal
 	BasisReuses   int  // LP solves that skipped phase 1 via basis reuse
 	// LP anomaly deltas for this solve (flight-recorder signals).
-	Refactorizations int // sparse-core mid-solve refactorizations
-	RepairFails      int // dual-repair attempts that went cold
+	RefactorAlarms int // LP refactorizations forced by a tiny pivot (not the routine eta budget)
+	RepairFails    int // dual-repair attempts that went cold
 }
 
 // CoveredIDs returns the distinct captured target IDs in ascending order.

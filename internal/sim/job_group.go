@@ -655,22 +655,32 @@ func (j *groupJob) recordFlight(fb *obs.FrameBuilder, frameIdx int, ts float64, 
 	off += execNS
 	fb.Add(0, obs.SpanStage, "account", off, acctNS, 0, 0)
 
-	if sstats.Fallback {
-		fb.Anomaly(obs.AnomFallback)
-	}
-	if (sstats.WarmAttempted && !sstats.Warm) || (cstats.WarmAttempted && !cstats.WarmAccepted) {
-		fb.Anomaly(obs.AnomWarmReject)
-	}
-	if sstats.RepairFails+cstats.RepairFails > 0 {
-		fb.Anomaly(obs.AnomDualRepair)
-	}
-	if sstats.Refactorizations+cstats.Refactorizations > 0 {
-		fb.Anomaly(obs.AnomRefactor)
-	}
+	fb.Anomaly(solverAnomalies(sstats, cstats))
 	if j.computeS+fres.SchedWall.Seconds() > j.cadence {
 		fb.Anomaly(obs.AnomDeadline)
 	}
 	fb.Finish(totalNS)
+}
+
+// solverAnomalies derives a frame's solver anomaly bits from the per-solve
+// stats deltas. Routine LP upkeep -- refactorizations triggered by the
+// eta-update budget -- is not an anomaly; only the stability alarm (a
+// tiny pivot that forced a rebuild) raises AnomRefactor.
+func solverAnomalies(s *sched.Stats, c *cluster.SolveStats) obs.Anomaly {
+	var a obs.Anomaly
+	if s.Fallback {
+		a |= obs.AnomFallback
+	}
+	if (s.WarmAttempted && !s.Warm) || (c.WarmAttempted && !c.WarmAccepted) {
+		a |= obs.AnomWarmReject
+	}
+	if s.RepairFails+c.RepairFails > 0 {
+		a |= obs.AnomDualRepair
+	}
+	if s.RefactorAlarms+c.RefactorAlarms > 0 {
+		a |= obs.AnomRefactor
+	}
+	return a
 }
 
 // executeSchedule scores captures: a truth target counts as captured when

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"eagleeye/internal/cluster"
 	"eagleeye/internal/constellation"
 	"eagleeye/internal/obs"
+	"eagleeye/internal/sched"
 )
 
 // deterministicCounters is the metric set whose totals must be identical
@@ -203,3 +205,37 @@ func benchmarkRunMetrics(b *testing.B, workers int) {
 
 func BenchmarkRunWorkers1Metrics(b *testing.B) { benchmarkRunMetrics(b, 1) }
 func BenchmarkRunWorkers4Metrics(b *testing.B) { benchmarkRunMetrics(b, 4) }
+
+// TestRefactorAnomalyOnlyOnAlarm checks that the refactor-alarm anomaly
+// bit follows the LP stability alarm, not routine upkeep: a run whose
+// solves refactorize on the eta-update budget pins no refactor-alarm
+// frame, while an alarm delta in either solver's stats raises the bit.
+func TestRefactorAnomalyOnlyOnAlarm(t *testing.T) {
+	if a := solverAnomalies(&sched.Stats{}, &cluster.SolveStats{}); a&obs.AnomRefactor != 0 {
+		t.Errorf("no alarms: anomaly bits %v", a.Kinds())
+	}
+	if a := solverAnomalies(&sched.Stats{RefactorAlarms: 1}, &cluster.SolveStats{}); a&obs.AnomRefactor == 0 {
+		t.Error("sched alarm did not raise refactor-alarm")
+	}
+	if a := solverAnomalies(&sched.Stats{}, &cluster.SolveStats{RefactorAlarms: 2}); a&obs.AnomRefactor == 0 {
+		t.Error("cluster alarm did not raise refactor-alarm")
+	}
+
+	reg := obs.NewRegistry()
+	flight := obs.NewFlightRecorder(obs.FlightConfig{})
+	run(t, Config{
+		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
+		App:           smallWorld(2000, 60), DurationS: 2 * 3600, Seed: 1,
+		Metrics: reg, Flight: flight,
+	})
+	var refactors int64
+	for _, solver := range []string{"sched", "cluster"} {
+		refactors += reg.CounterValue("eagleeye_lp_refactorizations_total", obs.Label{Key: "solver", Value: solver})
+	}
+	if refactors == 0 {
+		t.Fatal("workload triggered no budget refactorizations; nothing to check")
+	}
+	if got := flight.Snapshot().Anomalies["refactor-alarm"]; got != 0 {
+		t.Errorf("%d frames pinned as refactor-alarm by budget-only rebuilds (%d refactorizations)", got, refactors)
+	}
+}
