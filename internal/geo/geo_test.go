@@ -291,3 +291,52 @@ func TestStringers(t *testing.T) {
 		t.Error("empty Rect string")
 	}
 }
+
+// TestToLocalMatchesCrossAlongTrack pins the fused projection to the two
+// functions it replaces, bit for bit: random origin/point pairs around the
+// frame scale, plus points behind the origin, near the poles and across
+// the antimeridian.
+func TestToLocalMatchesCrossAlongTrack(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	check := func(f TangentFrame, p LatLon) {
+		t.Helper()
+		got := f.ToLocal(p)
+		xt := CrossTrackDistance(p, f.Origin, f.BearingDeg)
+		at := AlongTrackDistance(p, f.Origin, f.BearingDeg)
+		if math.Float64bits(got.X) != math.Float64bits(xt) || math.Float64bits(got.Y) != math.Float64bits(at) {
+			t.Fatalf("ToLocal(%v) from %v @%v = %v, want {%v, %v}", p, f.Origin, f.BearingDeg, got, xt, at)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		f := TangentFrame{
+			Origin:     LatLon{rng.Float64()*178 - 89, rng.Float64()*360 - 180}.Normalize(),
+			BearingDeg: rng.Float64() * 360,
+		}
+		// Nearby points in every direction (behind the origin included),
+		// and occasionally far ones.
+		span := 2.0
+		if i%10 == 0 {
+			span = 60
+		}
+		check(f, LatLon{f.Origin.Lat + (rng.Float64()*2-1)*span, f.Origin.Lon + (rng.Float64()*2-1)*span}.Normalize())
+	}
+	for i := 0; i < 2000; i++ {
+		brg := rng.Float64() * 360
+		// Near the poles.
+		lat := 89 + rng.Float64()
+		if i%2 == 1 {
+			lat = -lat
+		}
+		f := TangentFrame{Origin: LatLon{lat, rng.Float64()*360 - 180}, BearingDeg: brg}
+		check(f, LatLon{lat - (rng.Float64()*2-1)*0.9, rng.Float64()*360 - 180}.Normalize())
+		// Across the antimeridian, both ways.
+		f = TangentFrame{Origin: LatLon{rng.Float64()*120 - 60, 179.5 + rng.Float64()*0.5}, BearingDeg: brg}
+		check(f, LatLon{f.Origin.Lat + rng.Float64() - 0.5, -180 + rng.Float64()}.Normalize())
+		check(TangentFrame{Origin: LatLon{f.Origin.Lat, -f.Origin.Lon}, BearingDeg: brg},
+			LatLon{f.Origin.Lat, 179 + rng.Float64()})
+	}
+	// The origin itself and the point diametrically behind it along track.
+	f := TangentFrame{Origin: LatLon{10, 20}, BearingDeg: 45}
+	check(f, f.Origin)
+	check(f, Destination(f.Origin, 225, 50e3))
+}

@@ -92,11 +92,32 @@ type TangentFrame struct {
 	BearingDeg float64
 }
 
-// ToLocal projects a geodetic point into the frame.
+// ToLocal projects a geodetic point into the frame. It is
+// {CrossTrackDistance, AlongTrackDistance} fused into one pass: the same
+// operations in the same order, so the result is bit-identical, but the
+// distance and bearing to the origin are computed once instead of three
+// times each.
 func (f TangentFrame) ToLocal(p LatLon) Point2 {
-	at := AlongTrackDistance(p, f.Origin, f.BearingDeg)
-	xt := CrossTrackDistance(p, f.Origin, f.BearingDeg)
-	return Point2{X: xt, Y: at}
+	d13 := GreatCircleDistance(f.Origin, p) / EarthMeanRadius
+	b13 := Deg2Rad(InitialBearing(f.Origin, p))
+	b12 := Deg2Rad(f.BearingDeg)
+	xtM := math.Asin(math.Sin(d13)*math.Sin(b13-b12)) * EarthMeanRadius
+	xt := xtM / EarthMeanRadius
+	cosXT := math.Cos(xt)
+	if cosXT == 0 {
+		return Point2{X: xtM}
+	}
+	r := math.Cos(d13) / cosXT
+	if r > 1 {
+		r = 1
+	} else if r < -1 {
+		r = -1
+	}
+	at := math.Acos(r) * EarthMeanRadius
+	if math.Cos(b13-b12) < 0 {
+		at = -at
+	}
+	return Point2{X: xtM, Y: at}
 }
 
 // ToGeodetic maps a local point back to a geodetic coordinate.

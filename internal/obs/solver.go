@@ -9,8 +9,8 @@ package obs
 // SolverMetrics is the counter set one MIP consumer (scheduling or
 // clustering) feeds. A nil *SolverMetrics disables recording.
 type SolverMetrics struct {
-	Solves    *Counter // branch-and-bound searches run
-	Nodes     *Counter // B&B nodes explored
+	Solves    *Counter // branch-and-bound searches run (LP or, for sched, DAG)
+	Nodes     *Counter // B&B nodes explored (DAG: longest-path passes)
 	Iters     *Counter // simplex iterations across all nodes
 	Truncated *Counter // searches stopped by a time/node/iteration limit
 	PivotNS   *Counter // nanoseconds spent inside LP solves
@@ -57,8 +57,8 @@ type LPMetrics struct {
 func NewSolverMetrics(r *Registry, solver string) *SolverMetrics {
 	lbl := Label{Key: "solver", Value: solver}
 	return &SolverMetrics{
-		Solves:    r.Counter("eagleeye_mip_solves_total", "Branch-and-bound searches run.", lbl),
-		Nodes:     r.Counter("eagleeye_mip_nodes_total", "Branch-and-bound nodes explored.", lbl),
+		Solves:    r.Counter("eagleeye_mip_solves_total", "Branch-and-bound searches run (LP-based, and for sched the single-follower DAG searches).", lbl),
+		Nodes:     r.Counter("eagleeye_mip_nodes_total", "Branch-and-bound nodes explored (a DAG search node is one longest-path pass).", lbl),
 		Iters:     r.Counter("eagleeye_mip_lp_iters_total", "Simplex iterations across all B&B nodes.", lbl),
 		Truncated: r.Counter("eagleeye_mip_truncated_total", "Searches stopped early by a time, node or iteration limit.", lbl),
 		PivotNS:   r.Counter("eagleeye_mip_pivot_nanoseconds_total", "Wall time inside LP solves, in nanoseconds.", lbl),

@@ -17,6 +17,9 @@ type ilpArena struct {
 	mip   mip.Workspace
 	prob  mip.Problem
 	model ilpModel
+	// rowsValid marks prob's bounds and constraint rows as emitted for
+	// the topology last built in this arena (see emitRows).
+	rowsValid bool
 
 	targets []Target
 	nodes   []slotNode
@@ -35,6 +38,23 @@ type ilpArena struct {
 	// node being expanded".
 	seenTgt []int
 	seenGen int
+
+	// DAG branch-and-bound scratch (see dag.go): per-node label pairs
+	// and slot weights, per-target branching and visit
+	// counts, the per-target slot lists, the DFS stack, and the current
+	// and incumbent paths as edge lists.
+	dagLab   []dagLabel
+	dagW     []float64
+	valSlot  []int
+	visits   []int
+	valued   []int
+	slotOff  []int
+	slotFill []int
+	slotList []int
+	dagStack []dagFrame
+	dagPath  []int
+	dagInc   []int
+	dagX     []float64
 
 	// extract and polish scratch.
 	nodeSeen  []bool

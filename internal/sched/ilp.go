@@ -23,7 +23,9 @@ import (
 // covered variable per target collects the value of distinct captures --
 // exactly the paper's objective with its Hit-set union. The LP relaxation
 // of this flow-like model is near-integral, which is what makes millisecond
-// solves possible where the AB&B baseline needs seconds (§6.1).
+// solves possible where the AB&B baseline needs seconds (§6.1). With one
+// follower the model is a longest-path problem over a DAG, and it is
+// solved exactly without the LP (see dag.go).
 //
 // Two practical reductions keep frame-rate solves cheap and are ablated in
 // the benchmarks: the slot count per window adapts to the target count, and
@@ -56,6 +58,9 @@ type ILP struct {
 	AggressiveWarm bool
 	// fallback is used if the MIP fails to produce any solution.
 	fallback Greedy
+	// dagBudget overrides dagNodeBudget; tests use it to drive the
+	// DAG-to-LP fallback on small instances.
+	dagBudget int
 }
 
 // Name implements Scheduler.
@@ -133,6 +138,9 @@ func (s ILP) scheduleSequential(p *Problem) (Schedule, error) {
 	// snapshot. The warm pipeline applies to the joint path.
 	sj := s
 	sj.State = nil
+	// The run is named "ilp-dag" when every sub-solve that searched was a
+	// DAG search, so spans name the engine that did the work.
+	dagOnly, searched := true, false
 	for fi, f := range p.Followers {
 		rem := ar.rem[:0]
 		for _, t := range p.Targets {
@@ -151,6 +159,10 @@ func (s ILP) scheduleSequential(p *Problem) (Schedule, error) {
 			out.Captures[fi] = append(out.Captures[fi], c)
 			taken[c.TargetID] = true
 		}
+		if subOut.SolveStats.Nodes > 0 {
+			searched = true
+			dagOnly = dagOnly && subOut.SolveStats.Algorithm == "ilp-dag"
+		}
 		stats.Nodes += subOut.SolveStats.Nodes
 		stats.Iters += subOut.SolveStats.Iters
 		stats.Gap += subOut.SolveStats.Gap
@@ -162,6 +174,9 @@ func (s ILP) scheduleSequential(p *Problem) (Schedule, error) {
 		// Sequential decomposition is itself a heuristic, so the joint
 		// optimum is not certified even if each sub-solve is.
 		stats.Optimal = false
+	}
+	if searched && dagOnly {
+		stats.Algorithm = "ilp-dag"
 	}
 	if !s.DisablePolish {
 		polish(ar, p, &out)
@@ -195,6 +210,30 @@ func (s ILP) scheduleJoint(p *Problem) (Schedule, error) {
 			SolveStats: Stats{Algorithm: "ilp", Optimal: true},
 		}, nil
 	}
+	if len(p.Followers) == 1 {
+		budget := s.dagBudget
+		if budget <= 0 {
+			budget = dagNodeBudget
+		}
+		if x, _, nodes, ok := m.solveDAG(ar, budget); ok {
+			if met := s.MIP.Metrics; met != nil {
+				// A DAG search is a branch-and-bound search: it feeds the
+				// search and node series, never the LP ones.
+				met.Solves.Inc()
+				met.Nodes.Add(int64(nodes))
+			}
+			return s.finish(ar, m, p, x, Stats{Algorithm: "ilp-dag", Nodes: nodes, Optimal: true}), nil
+		}
+	}
+	return s.solveLP(ar, m, p)
+}
+
+// solveLP solves the built model with the LP-based branch-and-bound: the
+// engine for joint multi-follower models, and the fallback for
+// single-follower models whose DAG search ran out of budget.
+func (s ILP) solveLP(ar *ilpArena, m *ilpModel, p *Problem) (Schedule, error) {
+	st := s.State
+	m.emitRows(ar)
 	opts := s.MIP
 	if opts.TimeLimit == 0 {
 		// The leader must finish scheduling well inside the frame cadence
@@ -230,11 +269,7 @@ func (s ILP) scheduleJoint(p *Problem) (Schedule, error) {
 		}
 		return out, nil
 	}
-	out := m.extract(ar, p, sol.X)
-	if !s.DisablePolish {
-		polish(ar, p, &out)
-	}
-	out.SolveStats = Stats{
+	return s.finish(ar, m, p, sol.X, Stats{
 		Algorithm:      "ilp",
 		Nodes:          sol.Nodes,
 		Optimal:        sol.Status == mip.StatusOptimal,
@@ -248,11 +283,22 @@ func (s ILP) scheduleJoint(p *Problem) (Schedule, error) {
 		BasisReuses:    sol.BasisReuses,
 		RefactorAlarms: sol.RefactorAlarms,
 		RepairFails:    sol.RepairFails,
+	}), nil
+}
+
+// finish turns a solution of the model into the returned schedule:
+// extraction, the polish pass, the solve's stats, and the cross-frame
+// snapshot.
+func (s ILP) finish(ar *ilpArena, m *ilpModel, p *Problem, x []float64, stats Stats) Schedule {
+	out := m.extract(ar, p, x)
+	if !s.DisablePolish {
+		polish(ar, p, &out)
 	}
-	if st != nil {
-		st.remember(p, &out)
+	out.SolveStats = stats
+	if s.State != nil {
+		s.State.remember(p, &out)
 	}
-	return out, nil
+	return out
 }
 
 // edgeCost is the objective coefficient of one routing edge: a small
@@ -377,11 +423,13 @@ func (s ILP) buildModel(ar *ilpArena, p *Problem) *ilpModel {
 
 	if st := s.State; st != nil && st.topologyMatches(m, len(p.Followers)) {
 		// Frame-delta fast path: the time-expanded graph is structurally
-		// identical to the previous build in this arena, so the constraint
-		// rows, variable bounds, integrality markers and adjacency lists
-		// are all still exact -- only slot times (already refreshed in
-		// m.nodes) and target values changed. Refresh the objective (edge
-		// costs depend on slot times) and reuse everything else.
+		// identical to the previous build in this arena, so the adjacency
+		// lists -- and the constraint rows, variable bounds and
+		// integrality markers, if the LP has needed them for this
+		// topology -- are all still exact; only slot times (already
+		// refreshed in m.nodes) and target values changed. Refresh the
+		// objective (edge costs depend on slot times) and reuse
+		// everything else.
 		st.RowReuses++
 		for e := 0; e < m.ne; e++ {
 			prob.C[e] = edgeCost(m.nodes[m.edges[e].to].t)
@@ -395,29 +443,14 @@ func (s ILP) buildModel(ar *ilpArena, p *Problem) *ilpModel {
 		return m
 	}
 
-	// Variables: one binary per edge, then one continuous cover variable
-	// per target (integral at any optimum with binary edges).
+	// Objective: one coefficient per edge variable, then one per target's
+	// cover variable.
 	prob.C = growFloats(prob.C, nv)
-	prob.Lower = growFloats(prob.Lower, nv)
-	prob.Upper = growFloats(prob.Upper, nv)
-	prob.Integer = growBools(prob.Integer, nv)
 	for e := 0; e < m.ne; e++ {
 		prob.C[e] = edgeCost(m.nodes[m.edges[e].to].t)
-		prob.Lower[e] = 0
-		// No explicit upper bound: every edge enters some node, and that
-		// node's in(v) <= 1 row already caps the edge at 1. The
-		// bounded-variable simplex makes the explicit [0,1] bound free
-		// (no tableau row), but benchmarks show the open bound still
-		// pivots faster here -- the row cap prices whole slot groups at
-		// once where per-edge bound flips walk them one at a time.
-		prob.Upper[e] = math.Inf(1)
-		prob.Integer[e] = true
 	}
 	for j := 0; j < nz; j++ {
 		prob.C[m.ne+j] = m.targets[j].Value
-		prob.Lower[m.ne+j] = 0
-		prob.Upper[m.ne+j] = 1
-		prob.Integer[m.ne+j] = false
 	}
 
 	// Adjacency lists carved from one flat arena: count degrees, carve
@@ -464,6 +497,49 @@ func (s ILP) buildModel(ar *ilpArena, p *Problem) *ilpModel {
 		}
 		inEdges[e.to] = append(inEdges[e.to], ei)
 	}
+	m.prob = prob
+	ar.rowsValid = false
+	if st := s.State; st != nil {
+		st.snapshotTopology(m, len(p.Followers))
+	}
+	return m
+}
+
+// emitRows completes the LP form of a built model: variable bounds,
+// integrality markers and the constraint rows. Single-follower models the
+// DAG search solves never need them, so buildModel leaves them to the LP
+// path; rows emitted once stay valid across frame-delta builds of the
+// same topology.
+func (m *ilpModel) emitRows(ar *ilpArena) {
+	if ar.rowsValid {
+		return
+	}
+	ar.rowsValid = true
+	prob := m.prob
+	nz := len(m.targets)
+	nv := m.ne + nz
+	inEdges := ar.inEdges
+	// Variables: one binary per edge, then one continuous cover variable
+	// per target (integral at any optimum with binary edges).
+	prob.Lower = growFloats(prob.Lower, nv)
+	prob.Upper = growFloats(prob.Upper, nv)
+	prob.Integer = growBools(prob.Integer, nv)
+	for e := 0; e < m.ne; e++ {
+		prob.Lower[e] = 0
+		// No explicit upper bound: every edge enters some node, and that
+		// node's in(v) <= 1 row already caps the edge at 1. The
+		// bounded-variable simplex makes the explicit [0,1] bound free
+		// (no tableau row), but benchmarks show the open bound still
+		// pivots faster here -- the row cap prices whole slot groups at
+		// once where per-edge bound flips walk them one at a time.
+		prob.Upper[e] = math.Inf(1)
+		prob.Integer[e] = true
+	}
+	for j := 0; j < nz; j++ {
+		prob.Lower[m.ne+j] = 0
+		prob.Upper[m.ne+j] = 1
+		prob.Integer[m.ne+j] = false
+	}
 
 	// Constraint rows are emitted directly in CSR form -- each row appends
 	// its few nonzeros and closes with EndRow, so no dense row of width nv
@@ -494,7 +570,7 @@ func (s ILP) buildModel(ar *ilpArena, p *Problem) *ilpModel {
 		}
 	}
 	// One route per follower.
-	for fi := range p.Followers {
+	for fi := range m.srcEdges {
 		if len(m.srcEdges[fi]) > 0 {
 			for _, ei := range m.srcEdges[fi] {
 				prob.Coef(ei, 1)
@@ -515,11 +591,6 @@ func (s ILP) buildModel(ar *ilpArena, p *Problem) *ilpModel {
 		}
 		prob.EndRow(lp.LE, 0)
 	}
-	m.prob = prob
-	if st := s.State; st != nil {
-		st.snapshotTopology(m, len(p.Followers))
-	}
-	return m
 }
 
 // extract walks the selected edges into per-follower capture sequences.

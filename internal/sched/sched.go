@@ -13,7 +13,8 @@
 // Three schedulers are provided:
 //
 //   - ILP (the paper's contribution): a time-expanded flow ILP solved with
-//     internal/mip; see ilp.go.
+//     internal/mip, or for one follower by an exact DAG branch-and-bound;
+//     see ilp.go and dag.go.
 //   - Greedy (baseline, §4.3): each follower repeatedly captures the
 //     nearest feasible unimaged target.
 //   - AB&B (prior-work baseline, §2.3/[27]): anytime branch-and-bound over

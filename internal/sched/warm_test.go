@@ -46,6 +46,7 @@ func TestILPEdgeVarsUnbounded(t *testing.T) {
 	ar := getILPArena()
 	defer putILPArena(ar)
 	m := s.buildModel(ar, p)
+	m.emitRows(ar)
 	if m.ne == 0 {
 		t.Fatal("model has no edges; workload too sparse for the regression check")
 	}
@@ -112,15 +113,19 @@ func assertEquivalentSchedule(t *testing.T, tag string, p *Problem, cold, warm S
 
 // TestWarmColdEquivalentSchedules drives a warm ILP (cross-frame state)
 // and a cold one over the same drifting frame sequences and requires an
-// equal-objective, feasible schedule frame by frame.
+// equal-objective, feasible schedule frame by frame. Multi-follower
+// sequences run on the LP, where the warm pipeline must engage;
+// single-follower sequences run on the DAG search, which offers no warm
+// candidate and must do no LP work.
 func TestWarmColdEquivalentSchedules(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		frames := driftFrames(rng, 4+rng.Intn(5), 1+rng.Intn(3), 6, 800)
+		single := len(frames[0].Followers) == 1
 		st := NewSolverState()
 		warm := ILP{State: st}
 		cold := ILP{}
-		for fi, p := range frames {
+		for _, p := range frames {
 			ws, err := warm.Schedule(p)
 			if err != nil {
 				t.Fatal(err)
@@ -129,13 +134,20 @@ func TestWarmColdEquivalentSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if single && ws.SolveStats.Nodes > 0 && (ws.SolveStats.Algorithm != "ilp-dag" || ws.SolveStats.Iters != 0) {
+				t.Fatalf("seed %d: single-follower solve ran %q with %d LP iterations, want the DAG search",
+					seed, ws.SolveStats.Algorithm, ws.SolveStats.Iters)
+			}
 			if !ws.SolveStats.Optimal || !cs.SolveStats.Optimal {
 				continue // truncated solves carry no identity guarantee
 			}
 			assertEquivalentSchedule(t, "seed/frame", p, cs, ws)
-			_ = fi
 		}
-		if st.GreedySeeds+st.ProjectionHits == 0 {
+		if single {
+			if st.Projections+st.GreedySeeds != 0 {
+				t.Fatalf("seed %d: DAG solves built %d LP warm candidates", seed, st.Projections+st.GreedySeeds)
+			}
+		} else if st.GreedySeeds+st.ProjectionHits == 0 {
 			t.Fatalf("seed %d: warm pipeline never produced a candidate", seed)
 		}
 	}
@@ -143,10 +155,13 @@ func TestWarmColdEquivalentSchedules(t *testing.T) {
 
 // TestSolverStateMachinery exercises the cross-frame mechanisms directly:
 // repeated same-scene frames must hit the frame-delta row reuse and the
-// previous-schedule projection, and the LP basis must be reused.
+// previous-schedule projection, and the LP basis must be reused. The LP
+// mechanisms run on a two-follower scene, whose joint model the LP
+// solves; a single-follower scene goes to the DAG search, which must still
+// reuse the frame-delta topology and remember its schedule.
 func TestSolverStateMachinery(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	frames := driftFrames(rng, 6, 1, 5, 200) // gentle drift: topology stable
+	frames := driftFrames(rng, 6, 2, 5, 200) // gentle drift: topology stable
 	st := NewSolverState()
 	s := ILP{State: st}
 	reuses := 0
@@ -175,6 +190,28 @@ func TestSolverStateMachinery(t *testing.T) {
 	st.Reset()
 	if st.Projections != 0 || st.RowReuses != 0 || st.prevN != 0 || st.snapValid {
 		t.Error("Reset left decision-relevant state behind")
+	}
+
+	// The same gentle drift with one follower: every frame is a DAG
+	// search that reuses the topology and leaves a schedule to project.
+	rng = rand.New(rand.NewSource(11))
+	for _, p := range driftFrames(rng, 6, 1, 5, 200) {
+		out, err := s.Schedule(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.SolveStats.Algorithm != "ilp-dag" || out.SolveStats.Iters != 0 || !out.SolveStats.Optimal {
+			t.Fatalf("single-follower solve: %+v, want an optimal DAG search", out.SolveStats)
+		}
+		if st.prevN != out.NumCaptures() {
+			t.Fatalf("remembered %d captures, schedule has %d", st.prevN, out.NumCaptures())
+		}
+	}
+	if st.RowReuses == 0 {
+		t.Error("frame-delta topology reuse never fired on the single-follower scene")
+	}
+	if st.Projections != 0 {
+		t.Errorf("DAG solves attempted %d LP warm projections", st.Projections)
 	}
 }
 

@@ -710,16 +710,25 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 			// have moved into or out of the footprint. The candidate
 			// scratch is free here: the frame's filtered idx/pts live in
 			// their own buffers.
-			cands := st.candidatesNear(frame.ToGeodetic(c.Aim), frameRadius(swath, swath), absT)
+			aim := frame.ToGeodetic(c.Aim)
+			maxD := frameRadius(swath, swath)
+			cands := st.candidatesNear(aim, maxD, absT)
 			for _, ci := range cands {
 				tgt := &st.index.Set().Targets[ci]
 				if !tgt.ActiveAt(absT) {
 					continue
 				}
-				if fp.Contains(frame.ToLocal(tgt.PosAt(absT))) {
+				pos := tgt.PosAt(absT)
+				// The great-circle pre-reject of filterInFrame, around
+				// the aim point: the index returns a coarse superset, and
+				// most of it lies far outside the footprint.
+				if geo.GreatCircleDistance(pos, aim) > maxD {
+					continue
+				}
+				if fp.Contains(frame.ToLocal(pos)) {
 					st.captured[ci] = true
 					if st.cfg.RecaptureDedup {
-						st.capCells[capCellKey(tgt.PosAt(absT))] = true
+						st.capCells[capCellKey(pos)] = true
 					}
 				}
 			}

@@ -65,15 +65,34 @@ func TestMetricsMatchResult(t *testing.T) {
 		t.Errorf("eagleeye_sim_progress = %v at end of run", got)
 	}
 	// The solver stack must have been exercised and fed both consumers'
-	// LP layers (exact values are limit-dependent, presence is not).
+	// search series (exact values are limit-dependent, presence is not).
+	// This world has one follower per group, so every schedule is a DAG
+	// search: the sched LP series must stay empty, and the cover's LP
+	// series must not.
 	for _, solver := range []string{"sched", "cluster"} {
 		lbl := obs.Label{Key: "solver", Value: solver}
 		if reg.CounterValue("eagleeye_mip_solves_total", lbl) == 0 {
-			t.Errorf("no MIP solves recorded for %q", solver)
+			t.Errorf("no B&B searches recorded for %q", solver)
 		}
-		if reg.CounterValue("eagleeye_lp_iters_total", lbl) == 0 {
-			t.Errorf("no LP iterations recorded for %q", solver)
+		if reg.CounterValue("eagleeye_mip_nodes_total", lbl) == 0 {
+			t.Errorf("no B&B nodes recorded for %q", solver)
 		}
+	}
+	schedLbl := obs.Label{Key: "solver", Value: "sched"}
+	if got := reg.CounterValue("eagleeye_lp_iters_total", schedLbl); got != 0 {
+		t.Errorf("single-follower schedules recorded %d sched LP iterations, want 0 (DAG search)", got)
+	}
+	if reg.CounterValue("eagleeye_lp_iters_total", obs.Label{Key: "solver", Value: "cluster"}) == 0 {
+		t.Error("no LP iterations recorded for \"cluster\"")
+	}
+	// The sched LP series are fed on the world whose joint models still
+	// run on the LP branch-and-bound.
+	lpReg := obs.NewRegistry()
+	lpCfg := twoFollowerWorld()
+	lpCfg.Metrics = lpReg
+	run(t, lpCfg)
+	if lpReg.CounterValue("eagleeye_lp_iters_total", schedLbl) == 0 {
+		t.Error("no LP iterations recorded for \"sched\" on the two-follower world")
 	}
 	// Stage spans: every non-empty frame times detect/cluster/sched, so
 	// the nanosecond totals must be populated.
@@ -221,13 +240,13 @@ func TestRefactorAnomalyOnlyOnAlarm(t *testing.T) {
 		t.Error("cluster alarm did not raise refactor-alarm")
 	}
 
+	// The two-follower world, because its joint schedules run on the LP
+	// (single-follower schedules do no LP work to refactorize).
 	reg := obs.NewRegistry()
 	flight := obs.NewFlightRecorder(obs.FlightConfig{})
-	run(t, Config{
-		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
-		App:           smallWorld(2000, 60), DurationS: 2 * 3600, Seed: 1,
-		Metrics: reg, Flight: flight,
-	})
+	cfg := twoFollowerWorld()
+	cfg.Metrics, cfg.Flight = reg, flight
+	run(t, cfg)
 	var refactors int64
 	for _, solver := range []string{"sched", "cluster"} {
 		refactors += reg.CounterValue("eagleeye_lp_refactorizations_total", obs.Label{Key: "solver", Value: solver})

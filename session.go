@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"eagleeye/internal/sim"
 )
@@ -33,11 +34,21 @@ import (
 //     mid-run with Checkpoint and resumed with RestoreSession.
 //
 // A Session is not safe for concurrent use; callers that share one across
-// goroutines (the server's session table) must serialize Step calls.
+// goroutines (the server's session table) must serialize Step calls. The
+// read-only views -- Steps, Aggregate, Done and SimulatedHours -- may be
+// polled from other goroutines while a Step runs.
 type Session struct {
-	cfg    Config
-	steps  int
-	agg    SessionAggregate
+	cfg Config
+
+	// mu guards the views other goroutines may read mid-Step: the step
+	// count, the aggregate, and the continuous timeline position and
+	// completion published at the end of each step.
+	mu    sync.Mutex
+	steps int
+	agg   SessionAggregate
+	nowH  float64
+	done  bool
+
 	runner *sim.Runner      // continuous mode; nil until the first step
 	met    *MetricsRegistry // registry bound at runner materialization
 	flight *FlightRecorder  // recorder bound at runner materialization
@@ -87,27 +98,48 @@ func NewSession(cfg Config) (*Session, error) {
 func (s *Session) Config() Config { return s.cfg }
 
 // Steps returns how many steps have completed.
-func (s *Session) Steps() int { return s.steps }
+func (s *Session) Steps() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.steps
+}
 
 // Aggregate returns the counters accumulated over all completed steps.
-func (s *Session) Aggregate() SessionAggregate { return s.agg }
+func (s *Session) Aggregate() SessionAggregate {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.agg
+}
 
 // Done reports whether a continuous session has reached its configured
 // duration. Windowed sessions never complete.
 func (s *Session) Done() bool {
-	if s.runner != nil {
-		return s.runner.Done()
-	}
-	return s.pending != nil && s.pendingNowH >= s.cfg.DurationHours
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.done
 }
 
 // SimulatedHours returns a continuous session's position on its timeline
 // (0 for windowed sessions, whose aggregate tracks window sums instead).
 func (s *Session) SimulatedHours() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nowH
+}
+
+// publishTimeline records the continuous timeline position for the
+// concurrent readers: the runner's once it exists, else the pending
+// snapshot's.
+func (s *Session) publishTimeline() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.runner != nil {
-		return s.runner.Now() / 3600
+		s.nowH = s.runner.Now() / 3600
+		s.done = s.runner.Done()
+		return
 	}
-	return s.pendingNowH
+	s.nowH = s.pendingNowH
+	s.done = s.pending != nil && s.pendingNowH >= s.cfg.DurationHours
 }
 
 // Close releases the pooled solver state held by a continuous session's
@@ -119,6 +151,7 @@ func (s *Session) Close() {
 		s.runner = nil
 	}
 	s.closed = true
+	s.publishTimeline()
 }
 
 // StepOptions tunes one Session.Step call.
@@ -182,6 +215,8 @@ func (s *Session) Step(opt StepOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.steps++
 	s.agg.Steps++
 	s.agg.SimulatedHours += cfg.DurationHours
@@ -222,6 +257,7 @@ func (s *Session) stepContinuous(opt StepOptions) (*Result, error) {
 			return nil, err
 		}
 		s.runner = r
+		s.publishTimeline()
 		s.met = simCfg.Metrics
 		s.flight = simCfg.Flight
 	} else if opt.Metrics != nil && opt.Metrics != s.met {
@@ -242,7 +278,9 @@ func (s *Session) stepContinuous(opt StepOptions) (*Result, error) {
 	if opt.Hours > 0 {
 		target = s.runner.Now() + opt.Hours*3600
 	}
-	if err := s.runner.Advance(target); err != nil {
+	err := s.runner.Advance(target)
+	s.publishTimeline()
+	if err != nil {
 		return nil, err
 	}
 	simRes, err := s.runner.Result()
@@ -253,6 +291,8 @@ func (s *Session) stepContinuous(opt StepOptions) (*Result, error) {
 	if res.Satellites == 0 {
 		res.Satellites = 2 // the facade default
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.steps++
 	s.agg = SessionAggregate{
 		Steps:           s.steps,
@@ -424,6 +464,7 @@ func RestoreSession(src io.Reader) (*Session, error) {
 		}
 		s.pending = snap
 		s.pendingNowH = hdr.NowHours
+		s.publishTimeline()
 	}
 	return s, nil
 }

@@ -1,6 +1,9 @@
 package eagleeye
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestSessionRejectsBadConfig(t *testing.T) {
 	if _, err := NewSession(Config{}); err == nil {
@@ -122,5 +125,43 @@ func TestStepSeedDerivation(t *testing.T) {
 			t.Fatalf("step %d repeats seed %d", step, s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestSessionViewsDuringContinuousStep polls every read-only view of a
+// continuous session -- whose timeline position and completion come from
+// the runner a Step is advancing -- while Steps run on another goroutine.
+func TestSessionViewsDuringContinuousStep(t *testing.T) {
+	sess, err := NewSession(Config{Satellites: 2, Targets: []Target{{Lat: 0, Lon: 0}}, DurationHours: 0.3, Seed: 7, Continuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	stop := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = sess.Done()
+			_ = sess.SimulatedHours()
+			_ = sess.Steps()
+			_ = sess.Aggregate()
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		if _, err := sess.Step(StepOptions{Hours: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !sess.Done() || sess.Steps() != 3 {
+		t.Fatalf("after stepping the full duration: done %v steps %d", sess.Done(), sess.Steps())
 	}
 }
