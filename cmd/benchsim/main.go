@@ -82,14 +82,12 @@ type point struct {
 	ClusterNodes int `json:"cluster_nodes"`
 	ClusterIters int `json:"cluster_iters"`
 	// Warm-start accounting across both solvers: candidates offered and
-	// verified, hit rate, nodes cut by the warm floor, solves ended early
-	// by a bound matching the warm candidate, and LP solves that skipped
-	// phase 1 by reusing the previous basis.
+	// verified, hit rate, nodes cut by the warm floor, and LP solves that
+	// skipped phase 1 by reusing the previous basis.
 	WarmAttempts    int64   `json:"warm_attempts,omitempty"`
 	WarmAccepted    int64   `json:"warm_accepted,omitempty"`
 	WarmHitRate     float64 `json:"warm_hit_rate,omitempty"`
 	WarmPrunedNodes int64   `json:"warm_pruned_nodes,omitempty"`
-	WarmEarlyExits  int64   `json:"warm_early_exits,omitempty"`
 	BasisReuses     int64   `json:"warm_basis_reuses,omitempty"`
 
 	// LP engine fields (schema 4), from the same instrumented run.
@@ -479,7 +477,6 @@ func main() {
 		WarmAttempts:    warmCount("attempts"),
 		WarmAccepted:    warmCount("accepted"),
 		WarmPrunedNodes: warmCount("pruned_nodes"),
-		WarmEarlyExits:  warmCount("early_exits"),
 		BasisReuses:     warmCount("basis_reuses"),
 	}
 	if p.WarmAttempts > 0 {

@@ -125,8 +125,17 @@ func ActuationTimeS(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM fl
 			return math.Inf(1) // unreachable within any practical horizon
 		}
 	}
+	// The bisection keeps cond(lo) false (lo starts at 0, where MaxAng is
+	// 0 and need(0) > 0) and returns hi. Once mid rounds to lo or hi, no
+	// later iteration can move hi: at mid == lo the test fails again and
+	// re-assigns lo, and at mid == hi it either re-assigns hi or collapses
+	// lo onto hi. Leaving there returns the same bits as running all 80
+	// iterations, which is the cap for intervals that never collapse.
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
 		if m.MaxAngDeg(mid) >= need(mid) {
 			hi = mid
 		} else {

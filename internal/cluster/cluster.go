@@ -83,8 +83,6 @@ type Options struct {
 	// ILP as a warm-start candidate. Single-owner; call CoverStats from
 	// one goroutine in frame order.
 	State *SolverState
-	// AggressiveWarm selects mip.Options.WarmAggressive for warm solves.
-	AggressiveWarm bool
 }
 
 // SolverState is per-leader persistent clustering state (see Options.State).
@@ -233,7 +231,6 @@ func CoverStats(pts []geo.Point2, w, h float64, opt Options) ([]Cluster, Method,
 				mo.ReuseBasis = true
 				if wx, ok := st.warmFromGreedy(ar, len(cands)); ok {
 					mo.WarmStart = wx
-					mo.WarmAggressive = opt.AggressiveWarm
 				}
 			}
 			ilpBoxes, st, ok := ilpCover(ar, pts, cands, mo)

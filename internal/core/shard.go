@@ -477,7 +477,6 @@ func mergeSchedStats(dst *sched.Stats, s *sched.Stats, first bool) {
 	dst.WarmAttempted = dst.WarmAttempted || s.WarmAttempted
 	dst.Warm = dst.Warm || s.Warm
 	dst.WarmPruned += s.WarmPruned
-	dst.WarmEarlyExit = dst.WarmEarlyExit || s.WarmEarlyExit
 	dst.BasisReuses += s.BasisReuses
 	dst.RefactorAlarms += s.RefactorAlarms
 	dst.RepairFails += s.RepairFails

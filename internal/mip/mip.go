@@ -113,7 +113,6 @@ type Solution struct {
 	WarmAttempted bool // a candidate was offered
 	WarmAccepted  bool // the candidate verified feasible
 	WarmPruned    int  // nodes cut by the warm floor, not by an incumbent
-	WarmEarlyExit bool // a node LP bound proved the warm candidate optimal
 	BasisReuses   int  // LP solves that skipped phase 1 via basis reuse
 
 	// Anomaly signals for the flight recorder, as per-solve deltas of the
@@ -149,18 +148,11 @@ type Options struct {
 	// every constraint row before use; a failed verification is counted
 	// and the solve proceeds cold. A verified candidate's value becomes a
 	// pruning floor: open nodes whose LP bound cannot beat it are cut
-	// before their relaxation is solved. In this default mode the
-	// candidate is never returned and never installed as the incumbent,
-	// so the search result is identical to a cold solve (absent node/time
-	// truncation) -- warm starting only removes work.
+	// before their relaxation is solved. The candidate is never returned
+	// and never installed as the incumbent, so the search result is
+	// identical to a cold solve (absent node/time truncation) -- warm
+	// starting only removes work.
 	WarmStart []float64
-	// WarmAggressive additionally installs the verified candidate as the
-	// root incumbent (so truncated searches can return it), exits as soon
-	// as a node's LP bound proves the candidate optimal within tolerance,
-	// and dives toward the incumbent's values when branching. This saves
-	// the most work but may return a different optimum among ties than a
-	// cold solve would find.
-	WarmAggressive bool
 	// ReuseBasis forwards to lp.Workspace.ReuseBasis: LP relaxations
 	// re-install the previous optimal basis when still primal-feasible,
 	// skipping simplex phase 1. Leave off for workspaces whose solve

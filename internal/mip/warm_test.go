@@ -94,48 +94,6 @@ func TestWarmStartFloorKeepsColdResult(t *testing.T) {
 	}
 }
 
-// TestWarmAggressiveReturnsOptimal verifies the aggressive mode: with the
-// true optimum installed as incumbent, the solve must still report the
-// optimal objective, and on instances whose root bound meets the candidate
-// it must exit early.
-func TestWarmAggressiveReturnsOptimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sawEarly := false
-	for k := 0; k < 60; k++ {
-		p := randomBinary(rng)
-		cold, err := SolveOpts(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != StatusOptimal {
-			continue
-		}
-		cand := make([]float64, len(cold.X))
-		for j, v := range cold.X {
-			cand[j] = math.Round(v)
-		}
-		warm, err := SolveOpts(p, Options{WarmStart: cand, WarmAggressive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Status != StatusOptimal && warm.Status != StatusFeasible {
-			t.Fatalf("case %d: aggressive warm status %v", k, warm.Status)
-		}
-		if math.Abs(warm.Objective-cold.Objective) > 1e-9 {
-			t.Fatalf("case %d: aggressive warm objective %v, cold %v", k, warm.Objective, cold.Objective)
-		}
-		if warm.WarmEarlyExit {
-			sawEarly = true
-			if warm.Nodes > cold.Nodes {
-				t.Fatalf("case %d: early exit used more nodes (%d) than cold (%d)", k, warm.Nodes, cold.Nodes)
-			}
-		}
-	}
-	if !sawEarly {
-		t.Error("aggressive mode never exited early across 60 instances")
-	}
-}
-
 // TestReuseBasisSameResults re-solves the same workspace with ReuseBasis
 // across a sequence of bound-perturbed problems (a branch-and-bound-like
 // stream) and checks every solve against a cold workspace.

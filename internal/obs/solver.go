@@ -18,15 +18,14 @@ type SolverMetrics struct {
 
 	// Warm-start pipeline counters (eagleeye_warmstart_*). Attempts /
 	// Accepted / Rejected track candidate verification in the MIP layer;
-	// PrunedNodes and EarlyExits are the node savings attributable to the
-	// warm candidate; Projections / ProjectionHits track the sched layer's
+	// PrunedNodes are the node savings attributable to the warm
+	// candidate; Projections / ProjectionHits track the sched layer's
 	// cross-frame schedule projection; BasisReuses counts LP solves that
 	// skipped phase 1 by re-installing a previous basis.
 	WarmAttempts   *Counter
 	WarmAccepted   *Counter
 	WarmRejected   *Counter
 	WarmPruned     *Counter
-	WarmEarlyExits *Counter
 	Projections    *Counter
 	ProjectionHits *Counter
 	BasisReuses    *Counter
@@ -78,7 +77,6 @@ func NewSolverMetrics(r *Registry, solver string) *SolverMetrics {
 		WarmAccepted:   r.Counter("eagleeye_warmstart_accepted_total", "Warm-start candidates that verified feasible.", lbl),
 		WarmRejected:   r.Counter("eagleeye_warmstart_rejected_total", "Warm-start candidates that failed verification.", lbl),
 		WarmPruned:     r.Counter("eagleeye_warmstart_pruned_nodes_total", "B&B nodes pruned by the warm-start bound before any incumbent was found.", lbl),
-		WarmEarlyExits: r.Counter("eagleeye_warmstart_early_exits_total", "Solves finished at the root because its LP bound met the warm candidate.", lbl),
 		Projections:    r.Counter("eagleeye_warmstart_projections_total", "Cross-frame solution projections attempted.", lbl),
 		ProjectionHits: r.Counter("eagleeye_warmstart_projection_hits_total", "Cross-frame projections that produced the warm candidate.", lbl),
 		BasisReuses:    r.Counter("eagleeye_warmstart_basis_reuses_total", "LP solves that skipped phase 1 via a re-installed basis.", lbl),

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 
 	"eagleeye/internal/mip"
@@ -56,14 +57,15 @@ type ilpArena struct {
 	dagInc   []int
 	dagX     []float64
 
-	// extract and polish scratch.
+	// extract and polish scratch. bases caches each follower's re-time;
+	// times holds a trial insertion's re-timed suffix (see polish.go).
 	nodeSeen  []bool
 	ids       []int
 	byID      map[int]Target
 	covered   map[int]bool
 	uncovered []Target
+	bases     []polishBase
 	times     []float64
-	trial     []Capture
 	rem       []Target
 	taken     map[int]bool
 }
@@ -121,6 +123,23 @@ func growInts(s []int, n int) []int {
 		return make([]int, n)
 	}
 	return s[:n]
+}
+
+// growAmortized returns s resized to n, reallocating with append's
+// headroom: polish's buffers grow by one capture per insert, and an exact
+// fit would reallocate on every one.
+func growAmortized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// polishBases returns n follower re-time caches for polish's pass 1 to
+// fill. The caches keep their buffers across solves.
+func (a *ilpArena) polishBases(n int) []polishBase {
+	if cap(a.bases) < n {
+		a.bases = make([]polishBase, n)
+	}
+	a.bases = a.bases[:n]
+	return a.bases
 }
 
 func growBools(s []bool, n int) []bool {

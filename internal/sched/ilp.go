@@ -51,11 +51,6 @@ type ILP struct {
 	// candidates projected from the previous schedule. The holder must
 	// call Schedule from a single goroutine, in frame order.
 	State *SolverState
-	// AggressiveWarm selects mip.Options.WarmAggressive for warm solves:
-	// the candidate is installed as the root incumbent and the search
-	// exits as soon as a bound proves it optimal. Fastest, but may return
-	// a different optimum among exact ties than a cold solve.
-	AggressiveWarm bool
 	// fallback is used if the MIP fails to produce any solution.
 	fallback Greedy
 	// dagBudget overrides dagNodeBudget; tests use it to drive the
@@ -178,11 +173,12 @@ func (s ILP) scheduleSequential(p *Problem) (Schedule, error) {
 	if searched && dagOnly {
 		stats.Algorithm = "ilp-dag"
 	}
-	if !s.DisablePolish {
-		polish(ar, p, &out)
+	if s.DisablePolish {
+		ar.ids = appendCapturedIDs(ar.ids[:0], &out)
+		out.Value = sumValues(ar.ids, ar.byIDMap(p))
+	} else {
+		polish(ar, p, &out) // sets out.Value the same way
 	}
-	ar.ids = appendCapturedIDs(ar.ids[:0], &out)
-	out.Value = sumValues(ar.ids, ar.byIDMap(p))
 	out.SolveStats = stats
 	return out, nil
 }
@@ -248,7 +244,6 @@ func (s ILP) solveLP(ar *ilpArena, m *ilpModel, p *Problem) (Schedule, error) {
 		opts.ReuseBasis = true
 		if wx, ok := st.warmCandidate(&s, m, p); ok {
 			opts.WarmStart = wx
-			opts.WarmAggressive = s.AggressiveWarm
 		}
 	}
 	sol, err := ar.mip.SolveOpts(m.prob, opts)
@@ -279,7 +274,6 @@ func (s ILP) solveLP(ar *ilpArena, m *ilpModel, p *Problem) (Schedule, error) {
 		WarmAttempted:  sol.WarmAttempted,
 		Warm:           sol.WarmAccepted,
 		WarmPruned:     sol.WarmPruned,
-		WarmEarlyExit:  sol.WarmEarlyExit,
 		BasisReuses:    sol.BasisReuses,
 		RefactorAlarms: sol.RefactorAlarms,
 		RepairFails:    sol.RepairFails,

@@ -156,7 +156,6 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 				// pool in close (Runner.Close), not per window.
 				j.ss = sched.GetSolverState()
 				ilp.State = j.ss
-				ilp.AggressiveWarm = warmAggressive
 			}
 			pipe.Scheduler = ilp
 		}
@@ -166,7 +165,6 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 			// cover seeds the ILP.
 			j.cs = cluster.GetSolverState()
 			pipe.ClusterOpts.State = j.cs
-			pipe.ClusterOpts.AggressiveWarm = warmAggressive
 		}
 	}
 
@@ -220,7 +218,6 @@ func newShardedPipeline(j *groupJob, jm *jobMetrics) *core.ShardedPipeline {
 		sp.Template.ClusterOpts.MaxCoverPoints = 256
 	}
 	if !cfg.DisableWarmStart {
-		sp.Template.ClusterOpts.AggressiveWarm = warmAggressive
 		sp.NewClusterState = cluster.GetSolverState
 		sp.FreeClusterState = cluster.PutSolverState
 	}
@@ -237,7 +234,6 @@ func newShardedPipeline(j *groupJob, jm *jobMetrics) *core.ShardedPipeline {
 			ilp := sched.ILP{MIP: opts}
 			if !cfg.DisableWarmStart {
 				ilp.State = sched.GetSolverState()
-				ilp.AggressiveWarm = warmAggressive
 			}
 			return ilp
 		}

@@ -43,19 +43,6 @@ import (
 // reproducible.
 var DefaultEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// warmAggressive selects the aggressive warm-start mode (install the warm
-// candidate as the root incumbent and stop as soon as a bound proves it
-// optimal) for the default schedulers. It is off: the early exit accepts
-// the candidate within the solver's feasibility tolerance, which is wider
-// than the scheduler objective's slot-time tie-break (see sched.edgeCost),
-// so an aggressive run can return a candidate that an exhaustive search
-// would re-time -- breaking the warm == cold result identity that
-// TestWarmStartResultIdentity pins. The conservative mode (pruning floor,
-// crash-basis seeding, cross-frame basis reuse) gets the measured solver
-// savings without that risk, because every mechanism it uses still runs
-// phase-2 simplex to the unique optimum.
-const warmAggressive = false
-
 // Config describes one simulation run.
 type Config struct {
 	// Constellation is the organization under test.
