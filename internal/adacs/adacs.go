@@ -109,9 +109,26 @@ func PointingAngleDeg(sub1, p1, sub2, p2 geo.Point2, altM float64) float64 {
 // rate of the satellite's own motion, so a root exists and is unique for
 // practical geometries).
 func ActuationTimeS(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM float64) float64 {
+	// need is PointingAngleDeg(sub1, p1, sub2(dt), p2, altM) with the
+	// constant first line of sight and its norm built once per call. The
+	// operations and their order are AngleBetween's, zero-norm branch and
+	// clamp included, so every value is bit-identical.
+	v1 := geo.Vec3{X: p1.X - sub1.X, Y: p1.Y - sub1.Y, Z: -altM}
+	nv := v1.Norm()
 	need := func(dt float64) float64 {
 		sub2 := geo.Point2{X: sub1.X, Y: sub1.Y + groundSpeedMS*dt}
-		return PointingAngleDeg(sub1, p1, sub2, p2, altM)
+		v2 := geo.Vec3{X: p2.X - sub2.X, Y: p2.Y - sub2.Y, Z: -altM}
+		nw := v2.Norm()
+		if nv == 0 || nw == 0 {
+			return 0
+		}
+		c := v1.Dot(v2) / (nv * nw)
+		if c > 1 {
+			c = 1
+		} else if c < -1 {
+			c = -1
+		}
+		return geo.Rad2Deg(math.Acos(c))
 	}
 	// If already pointing at the target, no actuation is needed.
 	if need(0) < 1e-9 {

@@ -22,6 +22,10 @@ type Index struct {
 	// lookup cost on large static sets.
 	offsets []int32
 	arena   []int32
+	// pos is each target's indexed position (latitude and wrapped
+	// longitude at atTime) in float32, in target order. Queries test it
+	// against the query's lat/lon box before emitting a cell member.
+	pos []pos32
 	// stride is the cell-key row stride: one more than the column count,
 	// so any longitude cell (including lon = +180 after wrapping) fits a
 	// row without aliasing into its neighbor.
@@ -32,6 +36,16 @@ type Index struct {
 	// time than the query.
 	maxSpeed float64
 }
+
+// pos32 is an indexed position rounded to float32: half the footprint of
+// float64, and its rounding (at most ~7.6e-6 degrees at |lon| <= 180) is
+// absorbed by boxSlackDeg.
+type pos32 struct{ lat, lon float32 }
+
+// boxSlackDeg widens a query's lat/lon box by more than twice the float32
+// rounding of a stored coordinate, so a member whose float64 position is
+// inside the box is never rejected on its rounded copy.
+const boxSlackDeg = 2e-5
 
 // NewIndex builds a grid index of the set's positions at elapsed time
 // atTime (targets inactive at that time are still indexed; callers filter
@@ -51,7 +65,8 @@ func NewIndex(s *Set, cellDeg float64, atTime float64) *Index {
 	// offsets, then scatter indices in input order (so cell membership
 	// order matches the old per-cell appends exactly).
 	ncells := ix.nrows * ix.stride
-	keys := make([]int64, len(s.Targets))
+	keys := make([]int32, len(s.Targets))
+	pos := make([]pos32, len(s.Targets))
 	offsets := make([]int32, ncells+1)
 	for i := range s.Targets {
 		t := &s.Targets[i]
@@ -59,41 +74,42 @@ func NewIndex(s *Set, cellDeg float64, atTime float64) *Index {
 			ix.maxSpeed = t.SpeedMS
 		}
 		p := t.PosAt(atTime)
-		k := ix.key(p.Lat, p.Lon)
-		keys[i] = k
+		lon := geo.WrapLonDeg(p.Lon)
+		k := ix.key(p.Lat, lon)
+		keys[i] = int32(k)
+		pos[i] = pos32{lat: float32(p.Lat), lon: float32(lon)}
 		offsets[k+1]++
 	}
 	for c := int64(1); c <= ncells; c++ {
 		offsets[c] += offsets[c-1]
 	}
+	// Scatter using offsets[k] as cell k's cursor; afterwards offsets[k]
+	// holds cell k's end, so shifting by one slot restores the starts.
 	arena := make([]int32, len(s.Targets))
-	cur := make([]int32, ncells)
-	copy(cur, offsets[:ncells])
 	for i, k := range keys {
-		arena[cur[k]] = int32(i)
-		cur[k]++
+		arena[offsets[k]] = int32(i)
+		offsets[k]++
 	}
+	copy(offsets[1:], offsets[:ncells])
+	offsets[0] = 0
 	ix.offsets = offsets
 	ix.arena = arena
+	ix.pos = pos
 	return ix
-}
-
-// cell returns cell k's member block. k must be in [0, nrows*stride).
-func (ix *Index) cell(k int64) []int32 {
-	return ix.arena[ix.offsets[k]:ix.offsets[k+1]]
 }
 
 // Set returns the underlying target set.
 func (ix *Index) Set() *Set { return ix.set }
 
-func (ix *Index) key(lat, lon float64) int64 {
+// key maps a latitude and an already wrapped longitude to its cell key.
+func (ix *Index) key(lat, wrappedLon float64) int64 {
 	r := int64(math.Floor((lat + 90) / ix.cellDeg))
 	if r < 0 {
 		r = 0
 	} else if r >= ix.nrows {
 		r = ix.nrows - 1
 	}
-	c := int64(math.Floor((geo.WrapLonDeg(lon) + 180) / ix.cellDeg))
+	c := int64(math.Floor((wrappedLon + 180) / ix.cellDeg))
 	if c < 0 {
 		c = 0
 	} else if c >= ix.stride {
@@ -113,6 +129,12 @@ func (ix *Index) Near(p geo.LatLon, radiusM float64, queryTime float64) []int32 
 // NearInto is Near appending into a caller-owned slice (usually sliced to
 // length zero), returning the extended slice. The simulator's frame loop
 // reuses one scratch slice per worker instead of allocating per query.
+//
+// The cells the query walks are 2 degrees wide in the simulator, far wider
+// than a capture or frame radius, so each walked member is tested against
+// the query's lat/lon bounding box (nearBox) and only those inside are
+// emitted. Members keep their CSR order: the result is the in-box
+// subsequence of the full cell walk.
 func (ix *Index) NearInto(p geo.LatLon, radiusM float64, queryTime float64, out []int32) []int32 {
 	pad := ix.maxSpeed * math.Abs(queryTime-ix.atTime)
 	radDeg := (radiusM + pad) / 111e3 // meters per degree latitude (conservative)
@@ -137,19 +159,30 @@ func (ix *Index) NearInto(p geo.LatLon, radiusM float64, queryTime float64, out 
 		lonWin = geo.Rad2Deg(math.Asin(math.Min(1, sinR/cosLat)))
 	}
 	lonQ := geo.WrapLonDeg(p.Lon)
-	for lat := latLo; lat <= latHi+ix.cellDeg; lat += ix.cellDeg {
-		if lat < -90-ix.cellDeg || lat > 90+ix.cellDeg {
-			continue
-		}
-		row := int64(math.Floor((lat + 90) / ix.cellDeg))
-		if row < 0 || row >= ix.nrows {
-			continue
-		}
-		// Clamp a padded span approaching one full row to a single
-		// full-row pass so the walk never revisits its starting cell
-		// (the 2-cell slack absorbs column-flooring at both ends).
-		if poleIn || 2*lonWin+3*ix.cellDeg >= 360 {
-			out = ix.appendRow(out, row)
+	// Clamp a padded span approaching one full row to a single full-row
+	// pass so the walk never revisits its starting cell (the 2-cell slack
+	// absorbs column-flooring at both ends).
+	fullRow := poleIn || 2*lonWin+3*ix.cellDeg >= 360
+	box := newNearBox(latLo, latHi, lonQ, lonWin, fullRow)
+	// The rows from latLo's through one row of flooring slack past the
+	// span, enumerated as integers: stepping a float latitude by cellDeg
+	// drifts, and when latLo sat on a row edge the drift skipped a row.
+	rowLo := math.Floor((latLo + 90) / ix.cellDeg)
+	rowHi := rowLo + math.Floor((latHi-latLo)/ix.cellDeg) + 1
+	if rowLo < 0 {
+		rowLo = 0
+	}
+	if top := float64(ix.nrows - 1); rowHi > top {
+		rowHi = top
+	}
+	if !(rowLo <= rowHi) {
+		return out
+	}
+	for row := int64(rowLo); row <= int64(rowHi); row++ {
+		base := row * ix.stride
+		if fullRow {
+			// Every cell of the row, including the seam column.
+			out = ix.appendSpan(out, base, base+ix.stride, &box)
 			continue
 		}
 		// Column span [lo, hi] with one cell of slack, split at the
@@ -160,20 +193,60 @@ func (ix *Index) NearInto(p geo.LatLon, radiusM float64, queryTime float64, out 
 		// cell of the row.
 		lo := lonQ - lonWin
 		hi := lonQ + lonWin + ix.cellDeg
+		seam := base + ix.stride - 1
 		switch {
 		case lo < -180:
-			out = ix.appendCols(out, row, ix.col(lo+360), ix.stride-2)
-			out = append(out, ix.cell(row*ix.stride+ix.stride-1)...)
-			out = ix.appendCols(out, row, 0, ix.col(hi))
+			out = ix.appendCols(out, row, ix.col(lo+360), ix.stride-2, &box)
+			out = ix.appendSpan(out, seam, seam+1, &box)
+			out = ix.appendCols(out, row, 0, ix.col(hi), &box)
 		case hi >= 180:
-			out = ix.appendCols(out, row, ix.col(lo), ix.stride-2)
-			out = append(out, ix.cell(row*ix.stride+ix.stride-1)...)
-			out = ix.appendCols(out, row, 0, ix.col(hi-360))
+			out = ix.appendCols(out, row, ix.col(lo), ix.stride-2, &box)
+			out = ix.appendSpan(out, seam, seam+1, &box)
+			out = ix.appendCols(out, row, 0, ix.col(hi-360), &box)
 		default:
-			out = ix.appendCols(out, row, ix.col(lo), ix.col(hi))
+			out = ix.appendCols(out, row, ix.col(lo), ix.col(hi), &box)
 		}
 	}
 	return out
+}
+
+// nearBox is a query's lat/lon bounding box, widened by boxSlackDeg. Every
+// point within the query's padded radius lies inside it: latitude within
+// radDeg of the query, longitude within lonWin of it modulo 360. A box
+// whose rows are walked in full tests latitude only (lonWin is +Inf).
+type nearBox struct {
+	latLo, latHi float64
+	lonQ, lonWin float64
+}
+
+func newNearBox(latLo, latHi, lonQ, lonWin float64, fullRow bool) nearBox {
+	b := nearBox{
+		latLo:  latLo - boxSlackDeg,
+		latHi:  latHi + boxSlackDeg,
+		lonQ:   lonQ,
+		lonWin: lonWin + boxSlackDeg,
+	}
+	if fullRow {
+		b.lonWin = math.Inf(1)
+	}
+	return b
+}
+
+// has reports whether an indexed position lies inside the box. The
+// longitude offset is reduced into [-180, 180] so the antimeridian seam
+// column is tested like any other column.
+func (b *nearBox) has(p pos32) bool {
+	lat := float64(p.lat)
+	if !(lat >= b.latLo && lat <= b.latHi) {
+		return false
+	}
+	d := float64(p.lon) - b.lonQ
+	if d > 180 {
+		d -= 360
+	} else if d < -180 {
+		d += 360
+	}
+	return math.Abs(d) <= b.lonWin
 }
 
 // col maps an unwrapped longitude to its column index (no range clamping).
@@ -181,9 +254,9 @@ func (ix *Index) col(lon float64) int64 {
 	return int64(math.Floor((lon + 180) / ix.cellDeg))
 }
 
-// appendCols appends the cells of columns [cLo, cHi] of a row, clamped to
-// the regular-column range.
-func (ix *Index) appendCols(out []int32, row, cLo, cHi int64) []int32 {
+// appendCols appends the in-box members of columns [cLo, cHi] of a row,
+// clamped to the regular-column range.
+func (ix *Index) appendCols(out []int32, row, cLo, cHi int64, b *nearBox) []int32 {
 	if cLo < 0 {
 		cLo = 0
 	}
@@ -195,14 +268,19 @@ func (ix *Index) appendCols(out []int32, row, cLo, cHi int64) []int32 {
 	}
 	// One contiguous CSR range covers the whole column span.
 	base := row * ix.stride
-	return append(out, ix.arena[ix.offsets[base+cLo]:ix.offsets[base+cHi+1]]...)
+	return ix.appendSpan(out, base+cLo, base+cHi+1, b)
 }
 
-// appendRow appends every cell of a latitude row to out, including the
-// extra seam column holding lon = +180.
-func (ix *Index) appendRow(out []int32, row int64) []int32 {
-	base := row * ix.stride
-	return append(out, ix.arena[ix.offsets[base]:ix.offsets[base+ix.stride]]...)
+// appendSpan appends, in CSR order, the members of cells [kLo, kHi) whose
+// indexed position lies inside b.
+func (ix *Index) appendSpan(out []int32, kLo, kHi int64, b *nearBox) []int32 {
+	pos := ix.pos
+	for _, i := range ix.arena[ix.offsets[kLo]:ix.offsets[kHi]] {
+		if b.has(pos[i]) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // TimedIndex maintains per-time-bucket indices for moving target sets,

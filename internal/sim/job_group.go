@@ -716,8 +716,9 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 				}
 				pos := tgt.PosAt(absT)
 				// The great-circle pre-reject of filterInFrame, around
-				// the aim point: the index returns a coarse superset, and
-				// most of it lies far outside the footprint.
+				// the aim point: the index returns the members of the
+				// query's lat/lon box, padded for target motion, and the
+				// box corners and the pad lie outside the radius.
 				if geo.GreatCircleDistance(pos, aim) > maxD {
 					continue
 				}

@@ -390,6 +390,9 @@ func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64) []int32 {
 // projection: any point inside the rectangle lies within hypot(w,h)/2 of
 // the center up to curvature error (~1e-4 relative at frame scale), far
 // inside the 5 km margin, and ToLocal costs several times a distance.
+// The candidates are the index's members inside the probe's lat/lon box,
+// so what this test rejects is the box corners and, for group frames, the
+// part of the probe disk behind the frame center.
 func (st *runState) filterInFrame(cands []int32, f geo.TangentFrame, w, h float64, ts float64) ([]int32, []geo.Point2) {
 	idx := st.scIdx[:0]
 	pts := st.scPts[:0]
